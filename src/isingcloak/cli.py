@@ -16,8 +16,10 @@ stderr with a nonzero exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -99,6 +101,8 @@ def cmd_encrypt(args) -> int:
     if args.scheme == "I":
         key = gen_key1(model.n, rng)
         if args.tau is not None:
+            if not (math.isfinite(args.tau) and args.tau >= 1.0):
+                raise ValueError(f"--tau must be a finite value >= 1, got {args.tau!r}")
             key = replace(key, tau=args.tau)
         encrypted = encrypt1(model, key)
         key = replace(key, offset=model.offset)
@@ -229,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=10)
     p.add_argument("--roulette", choices=("preserve", "inverse"), default="inverse")
     p.add_argument("--d-star", type=int, default=None, dest="d_star", help="target degree (scheme III)")
-    p.add_argument("--tau", type=float, default=None, help="fixed stretch factor (scheme I)")
+    p.add_argument("--tau", type=float, default=None, help="fixed stretch factor >= 1 (scheme I)")
     p.set_defaults(func=cmd_encrypt)
 
     p = sub.add_parser("solve", help="solve a problem exactly or with the QAOA simulator")
@@ -273,9 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args leaves the parser unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:

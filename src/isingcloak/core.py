@@ -24,6 +24,7 @@ bit-reproducible.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -292,12 +293,36 @@ def ising_to_dict(model: IsingModel) -> dict:
     }
 
 
+def _integral(value, what: str) -> int:
+    """``value`` as an int; integral floats pass, anything else is rejected."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _pair_map(entries, what: str) -> dict:
+    """``[[i, j, v], ...]`` as ``{(i, j): v}``, rejecting repeated pairs."""
+    pairs = {}
+    for i, j, v in entries:
+        if type(i) is not int or type(j) is not int:
+            i, j = _integral(i, what + " index"), _integral(j, what + " index")
+        if (i, j) in pairs:
+            raise ValueError(f"{what} lists pair {(i, j)} more than once")
+        pairs[i, j] = float(v)
+    return pairs
+
+
 def ising_from_dict(data: Mapping) -> IsingModel:
     try:
         return IsingModel(
-            n=int(data["n"]),
+            n=_integral(data["n"], "n"),
             h=tuple(float(v) for v in data["h"]),
-            J={(int(i), int(j)): float(v) for i, j, v in data["J"]},
+            J=_pair_map(data["J"], "J"),
             offset=float(data["offset"]),
         )
     except (KeyError, TypeError) as exc:
@@ -315,8 +340,8 @@ def qubo_to_dict(model: QuboModel) -> dict:
 def qubo_from_dict(data: Mapping) -> QuboModel:
     try:
         return QuboModel(
-            n=int(data["n"]),
-            A={(int(i), int(j)): float(v) for i, j, v in data["A"]},
+            n=_integral(data["n"], "n"),
+            A=_pair_map(data["A"], "A"),
             offset=float(data["offset"]),
         )
     except (KeyError, TypeError) as exc:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,66 +23,98 @@ BRUTE_FORCE_CAP = 24
 class SpectrumReport:
     """Exhaustive spectrum of a model.
 
-    ``energies`` holds all 2^n energies in ascending order;
-    ``argmin_set`` the bitstrings attaining the global minimum; ``gap``
-    the distance from the ground energy to the first strictly higher
-    level (+inf for a flat spectrum).  Levels closer than a relative
-    degeneracy tolerance are treated as equal, since scaled or converted
-    models reproduce exact ties only up to roundoff.
+    ``table`` holds all 2^n energies in enumeration order (index k is
+    the configuration whose variable i is bit i of k); ``energies`` is
+    the same spectrum in ascending order, sorted on first read and
+    cached.  ``argmin_set`` holds the bitstrings attaining the global
+    minimum; ``gap`` the distance from the ground energy to the first
+    strictly higher level (+inf for a flat spectrum).  Levels closer
+    than a degeneracy tolerance are treated as equal, since scaled or
+    converted models reproduce exact ties only up to roundoff.
     """
 
     n: int
-    energies: np.ndarray
+    table: np.ndarray
     argmin_set: frozenset
     global_min: float
     gap: float
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        return np.sort(self.table)
+
+
+def _bit_view(e: np.ndarray, i: int) -> np.ndarray:
+    """View of a 2^n table whose axis 1 is bit i of the index."""
+    return e.reshape(-1, 2, 1 << i)
+
+
+def _pair_view(e: np.ndarray, i: int, j: int) -> np.ndarray:
+    """View of a 2^n table whose axes 1 and 3 are bits j and i (i < j)."""
+    return e.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
 
 
 def energy_table(model: Model, include_offset: bool = True) -> np.ndarray:
     """Energies of all 2^n configurations, indexed by bit pattern.
 
     Index k corresponds to the configuration whose variable i is bit i
-    of k (spin -1 for bit 0 under the Ising convention).  Term order
-    matches the scalar evaluators, so table entries are bit-identical
-    to per-configuration calls.
+    of k (spin -1 for bit 0 under the Ising convention).  The table is
+    one preallocated array; each term makes one in-place pass over a
+    reshaped view of it (the bit-i axis for a linear term, the bit-i
+    and bit-j axes for a pair), adding a 2- or 2x2-entry block of
+    signed coefficients, so no 2^n temporaries are made.  Every entry
+    receives the same float additions, in the same term order, as the
+    scalar evaluators, so table entries are bit-identical to
+    per-configuration :func:`eval_ising` / :func:`eval_qubo` calls.
     """
     n = model.n
     if n > BRUTE_FORCE_CAP:
         raise ValueError(f"n={n} exceeds the enumeration cap of {BRUTE_FORCE_CAP}")
-    size = 1 << n
-    idx = np.arange(size, dtype=np.uint32)
-
-    def bit(i):
-        return ((idx >> np.uint32(i)) & np.uint32(1)).astype(np.float64)
-
-    e = np.zeros(size)
+    e = np.zeros(1 << n)
     if isinstance(model, IsingModel):
         for i, hi in enumerate(model.h):
             if hi != 0.0:
-                e += hi * (2.0 * bit(i) - 1.0)
+                by_i = _bit_view(e, i)
+                by_i += np.array([[-hi], [hi]])
         for (i, j), v in model.J.items():
-            e += v * ((2.0 * bit(i) - 1.0) * (2.0 * bit(j) - 1.0))
+            by_ij = _pair_view(e, i, j)
+            by_ij += np.array([[v, -v], [-v, v]])[:, None, :, None]
     else:
+        # adding v * 0 leaves an entry unchanged (a table entry is never
+        # -0.0), so only the bit-1 half or the (1, 1) quarter is touched
         for (i, _), v in model.diagonal_items():
-            e += v * bit(i)
+            _bit_view(e, i)[:, 1, :] += v
         for (i, j), v in model.offdiagonal_items():
-            e += v * (bit(i) * bit(j))
+            _pair_view(e, i, j)[:, 1, :, 1, :] += v
     if include_offset:
         e += model.offset
     return e
 
 
+def _coefficient_scale(model: Model) -> float:
+    """Sum of coefficient magnitudes, a bound on |energy - offset|."""
+    if isinstance(model, IsingModel):
+        return math.fsum(abs(v) for v in model.h) + math.fsum(abs(v) for v in model.J.values())
+    return math.fsum(abs(v) for v in model.A.values())
+
+
 def brute_force(model: Model, degeneracy_tol: float = 1e-9) -> SpectrumReport:
-    """Exhaustively enumerate a model and report its exact spectrum."""
-    energies = energy_table(model)
-    order = np.sort(energies)
-    gmin = float(order[0])
-    tol = degeneracy_tol * max(1.0, float(np.abs(energies).max()))
-    ground = np.flatnonzero(energies <= gmin + tol)
-    argmin_set = frozenset(index_to_bitstring(int(k), model.n) for k in ground)
-    above = order[order > gmin + tol]
-    gap = float(above[0] - gmin) if above.size else math.inf
-    return SpectrumReport(model.n, order, argmin_set, gmin, gap)
+    """Exhaustively enumerate a model and report its exact spectrum.
+
+    A level is a ground state when it lies within ``degeneracy_tol``
+    times the sum of coefficient magnitudes of the minimum.  That sum
+    bounds |energy - offset|, so the tolerance follows the scale of the
+    coefficients and ignores the offset.  The minimum, ground set and
+    gap come from reductions over the unsorted table; nothing is sorted
+    unless ``.energies`` is read.
+    """
+    table = energy_table(model)
+    gmin = float(table.min())
+    tol = degeneracy_tol * _coefficient_scale(model)
+    ground = table <= gmin + tol
+    argmin_set = frozenset(index_to_bitstring(int(k), model.n) for k in np.flatnonzero(ground))
+    gap = float(np.min(table, where=~ground, initial=math.inf)) - gmin
+    return SpectrumReport(model.n, table, argmin_set, gmin, gap)
 
 
 def argmin_distribution(report: SpectrumReport) -> OutcomeDistribution:

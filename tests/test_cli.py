@@ -152,3 +152,35 @@ def test_error_json_on_missing_file(tmp_path, capsys):
     err = capsys.readouterr().err
     payload = json.loads(err)
     assert "error" in payload and "type" in payload
+
+
+def test_parser_reused_across_calls(tmp_path, capsys):
+    from isingcloak import cli
+
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    p, e, k = tmp_path / "p.json", tmp_path / "e.json", tmp_path / "k.json"
+    assert run("gen", "--family", "sk", "--n", 4, "--seed", 1, "--out", p) == 0
+    # no --seed here: a value left over from the previous call would show
+    # up in the manifest
+    assert run("encrypt", "--problem", p, "--scheme", "I", "--out", e, "--key-out", k) == 0
+    assert read(tmp_path / "e.json.manifest.json")["seed"] is None
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run("solve", "--problem", p)
+    assert exc.value.code == 2
+    assert run("stats", "--key", k) == 0
+    assert json.loads(capsys.readouterr().out)["scheme"] == "I"
+
+
+@pytest.mark.parametrize("tau", [0.5, 0.0, -2.0, "nan"])
+def test_tau_below_one_rejected(tmp_path, capsys, tau):
+    p, e, k = tmp_path / "p.json", tmp_path / "e.json", tmp_path / "k.json"
+    run("gen", "--family", "sk", "--n", 4, "--seed", 1, "--out", p)
+    capsys.readouterr()
+    assert run("encrypt", "--problem", p, "--scheme", "I", "--tau", tau, "--seed", 2,
+               "--out", e, "--key-out", k) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["type"] == "ValueError"
+    assert not e.exists() and not k.exists()

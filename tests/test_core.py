@@ -246,3 +246,29 @@ class TestSerialization:
     def test_malformed_record(self):
         with pytest.raises(ValueError):
             ising_from_dict({"n": 2, "h": [0.0, 0.0]})
+
+    def test_duplicate_ising_pair_rejected(self):
+        rec = {"n": 2, "h": [0.0, 0.0], "J": [[0, 1, 1.0], [0, 1, -1.0]], "offset": 0.0}
+        with pytest.raises(ValueError, match="more than once"):
+            ising_from_dict(rec)
+
+    def test_duplicate_qubo_key_rejected(self):
+        rec = {"n": 2, "A": [[1, 1, 2.0], [0, 1, 4.0], [1, 1, -2.0]], "offset": 0.0}
+        with pytest.raises(ValueError, match="more than once"):
+            qubo_from_dict(rec)
+
+    @pytest.mark.parametrize("n", [2.7, "2", True, None])
+    def test_non_integral_n_rejected(self, n):
+        with pytest.raises(ValueError, match="integer"):
+            ising_from_dict({"n": n, "h": [0.0, 0.0], "J": [], "offset": 0.0})
+        with pytest.raises(ValueError, match="integer"):
+            qubo_from_dict({"n": n, "A": [], "offset": 0.0})
+
+    def test_non_integral_pair_index_rejected(self):
+        rec = {"n": 2, "h": [0.0, 0.0], "J": [[0.5, 1, 1.0]], "offset": 0.0}
+        with pytest.raises(ValueError, match="integer"):
+            ising_from_dict(rec)
+
+    def test_integral_float_n_accepted(self):
+        m = ising_from_dict({"n": 2.0, "h": [0.0, 1.0], "J": [[0, 1, 1.0]], "offset": 0.0})
+        assert m.n == 2 and type(m.n) is int

@@ -15,6 +15,7 @@ from isingcloak import (
     encrypt1,
     energy_table,
     gen_key1,
+    generate,
     ising_to_qubo,
     rar,
 )
@@ -41,6 +42,30 @@ class TestBruteForce:
         assert rep.global_min == 3.0
         assert rep.gap == math.inf
         assert len(rep.argmin_set) == 4
+
+    def test_table_is_unsorted_energies_sorted(self):
+        rep = brute_force(SINGLE_EDGE)
+        assert np.array_equal(rep.table, energy_table(SINGLE_EDGE))
+        assert np.array_equal(rep.table, [1.0, -1.0, -1.0, 1.0])
+        assert "energies" not in vars(rep)  # sorted lazily, on first read
+        assert np.array_equal(rep.energies, np.sort(rep.table))
+        assert rep.energies is rep.energies
+
+    def test_degeneracy_ignores_offset(self):
+        m = generate("regular3", 8, np.random.default_rng(1))
+        assert len(brute_force(m).argmin_set) == 2
+        shifted = brute_force(IsingModel(m.n, m.h, m.J, 1e10))
+        assert shifted.argmin_set == brute_force(m).argmin_set
+        assert shifted.gap == brute_force(m).gap
+
+    def test_degeneracy_follows_coefficient_scale(self):
+        m = generate("regular3", 8, np.random.default_rng(1))
+        tiny = IsingModel(
+            m.n, tuple(h * 1e-12 for h in m.h), {k: v * 1e-12 for k, v in m.J.items()}
+        )
+        rep = brute_force(tiny)
+        assert rep.argmin_set == brute_force(m).argmin_set
+        assert rep.gap == pytest.approx(2e-12, rel=1e-9)
 
     def test_matches_scalar_eval(self):
         from isingcloak import eval_ising

@@ -1,0 +1,150 @@
+"""Check that two checkouts of isingcloak produce byte-identical outputs.
+
+Usage, from anywhere:
+
+    python3 tools/compare_checkouts.py OLD_CHECKOUT NEW_CHECKOUT [--seed 1]
+
+Each checkout runs in its own interpreter, importing the package from
+its ``src/``.  Both runs use the same work directory, because the
+manifests record input paths.  A run covers:
+
+* the first pipelines of each benchmark workload (instance mixes from
+  ``perfbench/workloads.py`` of the checkout, driven through
+  ``cli.main``), hashing every written file and manifest and keeping
+  the stdout of ``verify`` and ``stats``;
+* ``energy_table`` on seeded random Ising and QUBO models (n <= 12,
+  coefficient scales 1e-12 to 1e12, offsets up to 1e10), hashing each
+  table's bytes.
+
+The script prints one line per differing item and exits nonzero if
+anything differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PIPELINES = {"exact-verify": 30, "qaoa-decode": 12, "client-large": 6}
+FILES = ("problem", "encrypted", "key", "dist", "decoded")
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _pipeline_outputs(workloads, cli, workdir: Path, seed: int) -> dict:
+    class Recording(workloads.Pipeline):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.stdout = {}
+
+        def _command(self, argv, reads=(), writes=()):
+            stdout, seconds = super()._command(argv, reads, writes)
+            if stdout:
+                self.stdout[argv[0]] = stdout
+            return stdout, seconds
+
+    out = {}
+    for name, count in PIPELINES.items():
+        for i in range(count):
+            if workdir.exists():
+                shutil.rmtree(workdir)
+            workdir.mkdir()
+            pipeline = Recording(cli, str(workdir))
+            result = pipeline.run(workloads.instance(name, seed, i))
+            record = {"ok": result.ok, "stdout": pipeline.stdout}
+            for f in FILES:
+                path = Path(pipeline.path[f])
+                for p in (path, Path(str(path) + ".manifest.json")):
+                    record[p.name] = _digest(p.read_bytes()) if p.exists() else None
+            out[f"{name}[{i}]"] = record
+    return out
+
+
+def _random_models(count: int, seed: int):
+    import numpy as np
+
+    from isingcloak import IsingModel, QuboModel
+
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 13))
+        scale = 10.0 ** rng.integers(-12, 13)
+        offset = float(rng.uniform(-1e10, 1e10)) if rng.random() < 0.5 else 0.0
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+        values = rng.uniform(-1.0, 1.0, len(pairs) + n) * scale
+        values[values == 0.0] = scale
+        couplings = dict(zip(pairs, values[: len(pairs)].tolist()))
+        linear = values[len(pairs):] * (rng.random(n) < 0.7)
+        if rng.random() < 0.5:
+            yield IsingModel(n, tuple(linear.tolist()), couplings, offset)
+        else:
+            diagonal = {(i, i): float(v) for i, v in enumerate(linear) if v != 0.0}
+            yield QuboModel(n, {**diagonal, **couplings}, offset)
+
+
+def child(checkout: Path, workdir: Path, seed: int, models: int) -> None:
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+    import workloads
+
+    from isingcloak import energy_table
+
+    cli = workloads.import_cli(checkout)
+    with contextlib.redirect_stderr(io.StringIO()):
+        outputs = _pipeline_outputs(workloads, cli, workdir, seed)
+    tables = [_digest(energy_table(m).tobytes()) for m in _random_models(models, seed)]
+    json.dump({"pipelines": outputs, "tables": tables}, sys.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", type=Path)
+    parser.add_argument("new", type=Path)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--models", type=int, default=2000)
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--workdir", type=Path, default=None, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        child(args.old.resolve(), args.workdir, args.seed, args.models)
+        return 0
+
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for checkout in (args.old, args.new):
+            proc = subprocess.run(
+                [sys.executable, __file__, str(checkout), str(checkout), "--child",
+                 "--workdir", str(Path(tmp) / "work"), "--seed", str(args.seed),
+                 "--models", str(args.models)],
+                capture_output=True, text=True, check=True,
+            )
+            runs.append(json.loads(proc.stdout))
+    old, new = runs
+    diffs = [k for k in old["pipelines"] if old["pipelines"][k] != new["pipelines"].get(k)]
+    failed = [k for k in new["pipelines"] if not new["pipelines"][k]["ok"]]
+    tables = sum(a != b for a, b in zip(old["tables"], new["tables"]))
+    for k in diffs:
+        print(f"pipeline {k} differs: {old['pipelines'][k]} != {new['pipelines'][k]}")
+    for k in failed:
+        print(f"pipeline {k} failed its output check")
+    print(json.dumps({
+        "pipelines": len(old["pipelines"]),
+        "pipelines_differing": len(diffs),
+        "pipelines_failed": len(failed),
+        "tables": len(old["tables"]),
+        "tables_differing": tables,
+    }))
+    return 1 if diffs or failed or tables else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

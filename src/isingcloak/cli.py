@@ -8,18 +8,22 @@ or III), ``solve`` (exact oracle or the QAOA simulator), ``decrypt``,
 Every command is deterministic given ``--seed``.  Each written file
 gets a ``<file>.manifest.json`` sidecar recording the command, the
 SHA-256 of every input, the seed and the package version, so runs can
-be replayed byte for byte.  Keys are never written into the same file
-as an encrypted problem.  Errors are emitted as one-line JSON on
-stderr with a nonzero exit code.
+be replayed byte for byte.  Outputs replace old files instead of
+truncating them: each is written as a temporary and renamed into
+place, and ``encrypt`` places the key before the encrypted problem.
+Keys are never written into the same file as an encrypted problem.
+Errors are emitted as one-line JSON on stderr with a nonzero exit
+code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
-import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -46,28 +50,49 @@ class VerificationError(RuntimeError):
     pass
 
 
-def _sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _read_json(path: str, digests: dict | None = None) -> dict:
+    """Parse a JSON input file, recording the SHA-256 of the bytes parsed."""
+    data = Path(path).read_bytes()
+    if digests is not None:
+        digests[path] = hashlib.sha256(data).hexdigest()
+    return json.loads(data.decode("utf-8"))
 
 
-def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _write_outputs(outputs: list, command: str, digests: dict, seed) -> None:
+    """Write each ``(path, payload)`` and its manifest, replacing old files.
+
+    ``digests`` maps every input the command read to its SHA-256, in
+    read order.  All files are first written as ``<file>.tmp``.  The
+    old targets are then unlinked, last output first, and the
+    temporaries renamed into place in the order given, so a target
+    never holds a partial file and a failure leaves later outputs
+    absent rather than stale.  Renaming onto a free name also avoids
+    the flush that truncating or replacing an existing file costs.
+    """
+    manifest = dumps(
+        {"command": command, "inputs": digests, "seed": seed, "version": __version__}
+    )
+    staged = []
+    try:
+        for path, payload in outputs:
+            for target, text in ((path, dumps(payload)), (path + ".manifest.json", manifest)):
+                tmp = target + ".tmp"
+                staged.append((tmp, target))
+                Path(tmp).write_text(text, encoding="utf-8")
+        for _, target in reversed(staged):
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(target)
+        for tmp, target in staged:
+            os.rename(tmp, target)
+    except BaseException:
+        for tmp, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        raise
 
 
-def _write_json(path: str, payload: dict, command: str, inputs: list, seed) -> None:
-    Path(path).write_text(dumps(payload), encoding="utf-8")
-    manifest = {
-        "command": command,
-        "inputs": {p: _sha256(p) for p in inputs},
-        "seed": seed,
-        "version": __version__,
-    }
-    Path(path + ".manifest.json").write_text(dumps(manifest), encoding="utf-8")
-
-
-def _load_key(path: str):
-    data = _read_json(path)
+def _load_key(path: str, digests: dict | None = None):
+    data = _read_json(path, digests)
     scheme = data.get("scheme")
     if scheme == "I":
         return key1_from_dict(data)
@@ -91,18 +116,19 @@ def _decrypt_any(dist: OutcomeDistribution, key) -> OutcomeDistribution:
 
 def cmd_gen(args) -> int:
     model = generate(args.family, args.n, as_rng(args.seed))
-    _write_json(args.out, ising_to_dict(model), "gen", [], args.seed)
+    _write_outputs([(args.out, ising_to_dict(model))], "gen", {}, args.seed)
     return 0
 
 
 def cmd_encrypt(args) -> int:
-    model = ising_from_dict(_read_json(args.problem))
+    if os.path.abspath(args.out) == os.path.abspath(args.key_out):
+        raise ValueError("--out and --key-out must name different files")
+    digests = {}
+    model = ising_from_dict(_read_json(args.problem, digests))
     rng = as_rng(args.seed)
     if args.scheme == "I":
         key = gen_key1(model.n, rng)
         if args.tau is not None:
-            if not (math.isfinite(args.tau) and args.tau >= 1.0):
-                raise ValueError(f"--tau must be a finite value >= 1, got {args.tau!r}")
             key = replace(key, tau=args.tau)
         encrypted = encrypt1(model, key)
         key = replace(key, offset=model.offset)
@@ -123,28 +149,31 @@ def cmd_encrypt(args) -> int:
             model, rng, d_star=args.d_star, bins=args.bins, mode=args.roulette
         )
         key_payload = key3_to_dict(key)
-    _write_json(args.out, ising_to_dict(encrypted), "encrypt", [args.problem], args.seed)
-    _write_json(args.key_out, key_payload, "encrypt", [args.problem], args.seed)
+    # the key is placed first, so --out never holds a problem without its key
+    outputs = [(args.key_out, key_payload), (args.out, ising_to_dict(encrypted))]
+    _write_outputs(outputs, "encrypt", digests, args.seed)
     return 0
 
 
 def cmd_solve(args) -> int:
-    model = ising_from_dict(_read_json(args.problem))
+    digests = {}
+    model = ising_from_dict(_read_json(args.problem, digests))
     if args.method == "brute":
         dist = argmin_distribution(brute_force(model))
     else:
         rng = as_rng(args.seed)
         params, _ = optimize(model, args.layers, max_iters=args.iters, rng=rng)
         dist = sample(simulate(model, params), args.shots, rng)
-    _write_json(args.out, distribution_to_dict(dist), "solve", [args.problem], args.seed)
+    _write_outputs([(args.out, distribution_to_dict(dist))], "solve", digests, args.seed)
     return 0
 
 
 def cmd_decrypt(args) -> int:
-    dist = distribution_from_dict(_read_json(args.dist))
-    key = _load_key(args.key)
+    digests = {}
+    dist = distribution_from_dict(_read_json(args.dist, digests))
+    key = _load_key(args.key, digests)
     decoded = _decrypt_any(dist, key)
-    _write_json(args.out, distribution_to_dict(decoded), "decrypt", [args.dist, args.key], None)
+    _write_outputs([(args.out, distribution_to_dict(decoded))], "decrypt", digests, None)
     return 0
 
 
@@ -186,12 +215,13 @@ def cmd_stats(args) -> int:
 
 
 def cmd_qaoa_sim(args) -> int:
-    model = ising_from_dict(_read_json(args.problem))
+    digests = {}
+    model = ising_from_dict(_read_json(args.problem, digests))
     rng = as_rng(args.seed)
     params, trace = optimize(model, args.layers, max_iters=args.iters, rng=rng)
     dist = sample(simulate(model, params), args.shots, rng)
     if args.out:
-        _write_json(args.out, distribution_to_dict(dist), "qaoa-sim", [args.problem], args.seed)
+        _write_outputs([(args.out, distribution_to_dict(dist))], "qaoa-sim", digests, args.seed)
     print(
         dumps(
             {

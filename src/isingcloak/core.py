@@ -355,7 +355,7 @@ def distribution_to_dict(dist: OutcomeDistribution) -> dict:
 def distribution_from_dict(data: Mapping) -> OutcomeDistribution:
     try:
         return OutcomeDistribution(
-            n=int(data["n"]),
+            n=_integral(data["n"], "n"),
             weights={str(b): float(w) for b, w in data["counts"].items()},
         )
     except (KeyError, TypeError, AttributeError) as exc:

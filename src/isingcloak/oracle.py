@@ -18,6 +18,11 @@ from .util import bitstring_to_array, index_to_bitstring
 
 BRUTE_FORCE_CAP = 24
 
+# energy_table passes run over rows of 2^TILE_BITS contiguous entries:
+# long enough that numpy's per-row overhead is small, short enough
+# (8 KiB) that the per-call tile vectors stay in cache
+TILE_BITS = 10
+
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -59,33 +64,68 @@ def energy_table(model: Model, include_offset: bool = True) -> np.ndarray:
 
     Index k corresponds to the configuration whose variable i is bit i
     of k (spin -1 for bit 0 under the Ising convention).  The table is
-    one preallocated array; each term makes one in-place pass over a
-    reshaped view of it (the bit-i axis for a linear term, the bit-i
-    and bit-j axes for a pair), adding a 2- or 2x2-entry block of
-    signed coefficients, so no 2^n temporaries are made.  Every entry
-    receives the same float additions, in the same term order, as the
-    scalar evaluators, so table entries are bit-identical to
-    per-configuration :func:`eval_ising` / :func:`eval_qubo` calls.
+    one preallocated array, seen as rows of a fixed tile of 2^K entries
+    (K = min(n, TILE_BITS)), and each term makes one in-place pass over
+    it with contiguous inner runs of at least 2^K entries:
+
+    * a term whose bits all lie below K adds its values over the tile
+      (coefficient times a precomputed +-1 spin or 0/1 bit vector) to
+      every row;
+    * a pair with i < K <= j adds the tile vector of v * z_i, negated
+      on the bit-j = 0 half, along the bit-j axis;
+    * a term on bits >= K adds a 2- or 2x2-entry block of signed
+      coefficients along the bit-i (and bit-j) axes.
+
+    Every entry receives the same float additions (+-v for Ising; +v or
+    a no-op +-0.0 for QUBO, as an entry is never -0.0), in the same term
+    order, as the scalar evaluators, so table entries are bit-identical
+    to per-configuration :func:`eval_ising` / :func:`eval_qubo` calls.
     """
     n = model.n
     if n > BRUTE_FORCE_CAP:
         raise ValueError(f"n={n} exceeds the enumeration cap of {BRUTE_FORCE_CAP}")
+    k = min(n, TILE_BITS)
     e = np.zeros(1 << n)
+    rows = e.reshape(-1, 1 << k)
+    bits = (np.arange(1 << k) >> np.arange(k)[:, None]) & 1
+
+    def across(j):
+        # view whose axis 1 is bit j >= k and whose last axis is the tile
+        return e.reshape(-1, 2, 1 << (j - k), 1 << k)
+
     if isinstance(model, IsingModel):
+        spins = 2.0 * bits - 1.0
         for i, hi in enumerate(model.h):
-            if hi != 0.0:
-                by_i = _bit_view(e, i)
-                by_i += np.array([[-hi], [hi]])
+            if hi == 0.0:
+                continue
+            if i < k:
+                rows += hi * spins[i]
+            else:
+                _bit_view(e, i)[...] += np.array([[-hi], [hi]])
         for (i, j), v in model.J.items():
-            by_ij = _pair_view(e, i, j)
-            by_ij += np.array([[v, -v], [-v, v]])[:, None, :, None]
+            if j < k:
+                rows += v * (spins[i] * spins[j])
+            elif i < k:
+                p = v * spins[i]
+                across(j)[...] += np.stack([-p, p])[:, None, :]
+            else:
+                _pair_view(e, i, j)[...] += np.array([[v, -v], [-v, v]])[:, None, :, None]
     else:
-        # adding v * 0 leaves an entry unchanged (a table entry is never
-        # -0.0), so only the bit-1 half or the (1, 1) quarter is touched
+        # where a term is inactive it adds +-0.0, which leaves an entry
+        # unchanged; on bits >= k only the active half or quarter is touched
+        ones = bits.astype(np.float64)
         for (i, _), v in model.diagonal_items():
-            _bit_view(e, i)[:, 1, :] += v
+            if i < k:
+                rows += v * ones[i]
+            else:
+                _bit_view(e, i)[:, 1, :] += v
         for (i, j), v in model.offdiagonal_items():
-            _pair_view(e, i, j)[:, 1, :, 1, :] += v
+            if j < k:
+                rows += v * (ones[i] * ones[j])
+            elif i < k:
+                across(j)[:, 1] += v * ones[i]
+            else:
+                _pair_view(e, i, j)[:, 1, :, 1, :] += v
     if include_offset:
         e += model.offset
     return e

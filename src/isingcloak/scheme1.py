@@ -11,12 +11,13 @@ a measured distribution therefore only toggles the bits at positions T.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import IsingModel, OutcomeDistribution
+from .core import IsingModel, OutcomeDistribution, _integral
 from .util import as_rng, flip_positions
 
 
@@ -24,9 +25,10 @@ from .util import as_rng, flip_positions
 class KeyI:
     """Client-secret key for scheme I.
 
-    ``targets`` is the flipped-qubit set, ``tau`` the positive stretch
-    factor, ``offset`` the original model offset withheld from the
-    solver (0 until an encryption records it).
+    ``targets`` is the flipped-qubit set, ``tau`` the finite stretch
+    factor >= 1 (so the spectral gap never shrinks), ``offset`` the
+    original model offset withheld from the solver (0 until an
+    encryption records it).
     """
 
     n: int
@@ -40,10 +42,11 @@ class KeyI:
         targets = frozenset(int(t) for t in self.targets)
         if any(t < 0 or t >= self.n for t in targets):
             raise ValueError("target indices must lie in [0, n)")
-        if not (self.tau > 0.0):
-            raise ValueError("tau must be positive")
+        tau = float(self.tau)
+        if not (math.isfinite(tau) and tau >= 1.0):
+            raise ValueError(f"tau must be a finite value >= 1, got {self.tau!r}")
         object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "offset", float(self.offset))
 
 
@@ -134,8 +137,8 @@ def key1_from_dict(data: Mapping) -> KeyI:
         raise ValueError(f"expected a scheme I key, got {data.get('scheme')!r}")
     try:
         return KeyI(
-            n=int(data["n"]),
-            targets=frozenset(int(t) for t in data["targets"]),
+            n=_integral(data["n"], "n"),
+            targets=frozenset(_integral(t, "target") for t in data["targets"]),
             tau=float(data["tau"]),
             offset=float(data["offset"]),
         )

@@ -22,7 +22,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import IsingModel, OutcomeDistribution, QuboModel, ising_to_qubo, qubo_to_ising
+from .core import (
+    IsingModel,
+    OutcomeDistribution,
+    QuboModel,
+    _integral,
+    ising_to_qubo,
+    qubo_to_ising,
+)
 from .scheme1 import KeyI, decrypt1, encrypt1, gen_key1, key1_from_dict, key1_to_dict
 from .util import as_rng
 
@@ -285,6 +292,11 @@ def encrypt2(
     """
     rng = as_rng(rng)
     q = ising_to_qubo(model)
+    if not q.A:
+        raise ValueError(
+            "scheme II needs a nonzero coefficient to draw decoy weights from, "
+            "but every h and J of this model is zero (empty coefficient set)"
+        )
     wheel = build_roulette(list(q.A.values()), bins=bins, mode=mode)
     aug, _ = embed_decoys(q, m, wheel, rng, kmax_out=kmax_out, kmax_in=kmax_in)
     encrypted, perm, key1 = _permute_convert_cipher(aug, rng)
@@ -338,9 +350,9 @@ def key2_from_dict(data: Mapping) -> KeyII:
         raise ValueError(f"expected a scheme II key, got {data.get('scheme')!r}")
     try:
         return KeyII(
-            n=int(data["n"]),
-            m=int(data["m"]),
-            perm=tuple(int(p) for p in data["perm"]),
+            n=_integral(data["n"], "n"),
+            m=_integral(data["m"], "m"),
+            perm=tuple(_integral(p, "perm entry") for p in data["perm"]),
             key1=key1_from_dict(data["key1"]),
             offset=float(data["offset"]),
         )

@@ -14,7 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import IsingModel, OutcomeDistribution, QuboModel, ising_to_qubo, problem_graph
+from .core import (
+    IsingModel,
+    OutcomeDistribution,
+    QuboModel,
+    _integral,
+    ising_to_qubo,
+    problem_graph,
+)
 from .scheme1 import KeyI, key1_from_dict, key1_to_dict
 from .scheme2 import (
     DecoyPlacement,
@@ -265,12 +272,12 @@ def key3_from_dict(data: Mapping) -> KeyIII:
         raise ValueError(f"expected a scheme III key, got {data.get('scheme')!r}")
     try:
         return KeyIII(
-            n=int(data["n"]),
-            m=int(data["m"]),
-            perm=tuple(int(p) for p in data["perm"]),
+            n=_integral(data["n"], "n"),
+            m=_integral(data["m"], "m"),
+            perm=tuple(_integral(p, "perm entry") for p in data["perm"]),
             key1=key1_from_dict(data["key1"]),
             offset=float(data["offset"]),
-            d_star=int(data["d_star"]),
+            d_star=_integral(data["d_star"], "d_star"),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed scheme III key: {exc}") from exc

@@ -184,3 +184,82 @@ def test_tau_below_one_rejected(tmp_path, capsys, tau):
     assert err.count("\n") == 1
     assert json.loads(err)["type"] == "ValueError"
     assert not e.exists() and not k.exists()
+
+
+def test_rerun_replaces_outputs_and_leaves_no_temporaries(tmp_path):
+    p, e, k = tmp_path / "p.json", tmp_path / "e.json", tmp_path / "k.json"
+    fe, fk = tmp_path / "fresh_e.json", tmp_path / "fresh_k.json"
+    assert run("gen", "--family", "ba2", "--n", 6, "--seed", 1, "--out", p) == 0
+    assert run("encrypt", "--problem", p, "--scheme", "II", "--seed", 1,
+               "--out", e, "--key-out", k) == 0
+    assert run("encrypt", "--problem", p, "--scheme", "II", "--seed", 2,
+               "--out", e, "--key-out", k) == 0
+    assert run("encrypt", "--problem", p, "--scheme", "II", "--seed", 2,
+               "--out", fe, "--key-out", fk) == 0
+    assert e.read_bytes() == fe.read_bytes()
+    assert k.read_bytes() == fk.read_bytes()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_failed_problem_rename_never_leaves_a_stale_or_partial_problem(tmp_path, monkeypatch):
+    import os
+
+    p, e, k = tmp_path / "p.json", tmp_path / "e.json", tmp_path / "k.json"
+    fe, fk = tmp_path / "fresh_e.json", tmp_path / "fresh_k.json"
+    run("gen", "--family", "ba2", "--n", 6, "--seed", 3, "--out", p)
+    # a previous run's files, then what a complete second run writes
+    run("encrypt", "--problem", p, "--scheme", "II", "--seed", 4, "--out", e, "--key-out", k)
+    run("encrypt", "--problem", p, "--scheme", "II", "--seed", 5, "--out", fe, "--key-out", fk)
+    stale = e.read_bytes()
+
+    real_rename = os.rename
+    failed = []
+
+    def rename(src, dst):
+        if os.fspath(dst) == str(e):
+            failed.append(dst)
+            raise OSError("simulated crash while placing the encrypted problem")
+        return real_rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", rename)
+    assert run("encrypt", "--problem", p, "--scheme", "II", "--seed", 5,
+               "--out", e, "--key-out", k) == 1
+    monkeypatch.undo()
+    assert failed
+    assert stale != fe.read_bytes()
+    assert k.read_bytes() == fk.read_bytes()
+    assert not e.exists() or e.read_bytes() == fe.read_bytes()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_encrypt_over_its_own_problem_records_the_problem_it_read(tmp_path):
+    import hashlib
+
+    p, k = tmp_path / "p.json", tmp_path / "k.json"
+    run("gen", "--family", "sk", "--n", 5, "--seed", 6, "--out", p)
+    digest = hashlib.sha256(p.read_bytes()).hexdigest()
+    assert run("encrypt", "--problem", p, "--scheme", "I", "--seed", 7,
+               "--out", p, "--key-out", k) == 0
+    assert read(tmp_path / "p.json.manifest.json")["inputs"] == {str(p): digest}
+    assert read(tmp_path / "k.json.manifest.json")["inputs"] == {str(p): digest}
+
+
+def test_encrypt_rejects_one_file_for_problem_and_key(tmp_path, capsys):
+    p, e = tmp_path / "p.json", tmp_path / "e.json"
+    run("gen", "--family", "sk", "--n", 4, "--seed", 1, "--out", p)
+    capsys.readouterr()
+    assert run("encrypt", "--problem", p, "--scheme", "I", "--out", e, "--key-out", e) == 1
+    assert json.loads(capsys.readouterr().err)["type"] == "ValueError"
+    assert not e.exists()
+
+
+def test_encrypt2_all_zero_model_is_a_one_line_error(tmp_path, capsys):
+    p, e, k = tmp_path / "p.json", tmp_path / "e.json", tmp_path / "k.json"
+    p.write_text(json.dumps({"n": 3, "h": [0.0, 0.0, 0.0], "J": [], "offset": 1.0}))
+    assert run("encrypt", "--problem", p, "--scheme", "II", "--m", 1, "--seed", 1,
+               "--out", e, "--key-out", k) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["type"] == "ValueError" and "nonzero coefficient" in payload["error"]
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["p.json"]

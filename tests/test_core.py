@@ -272,3 +272,8 @@ class TestSerialization:
     def test_integral_float_n_accepted(self):
         m = ising_from_dict({"n": 2.0, "h": [0.0, 1.0], "J": [[0, 1, 1.0]], "offset": 0.0})
         assert m.n == 2 and type(m.n) is int
+
+    @pytest.mark.parametrize("n", [2.9, "2", True])
+    def test_distribution_non_integral_n_rejected(self, n):
+        with pytest.raises(ValueError, match="integer"):
+            distribution_from_dict({"n": n, "counts": {"01": 1.0}})

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isingcloak import IsingModel, QuboModel, brute_force, energy_table, eval_ising, eval_qubo
+from isingcloak.oracle import TILE_BITS, _bit_view, _pair_view
 
 
 def _nonzero(rng, size, scale):
@@ -16,9 +17,9 @@ def _nonzero(rng, size, scale):
 
 
 @st.composite
-def models(draw):
-    """Ising or QUBO model with n <= 10 and coefficients at one random scale."""
-    n = draw(st.integers(1, 10))
+def models(draw, min_n=1, max_n=10):
+    """Ising or QUBO model with min_n <= n <= max_n and coefficients at one random scale."""
+    n = draw(st.integers(min_n, max_n))
     density = draw(st.floats(0.0, 1.0))
     scale = 10.0 ** draw(st.integers(-12, 12))
     offset = draw(st.floats(-1e10, 1e10, allow_nan=False))
@@ -69,3 +70,42 @@ def test_reductions_match_sorted_spectrum(model):
     assert rep.gap == (float(above[0] - gmin) if above.size else math.inf)
     ground = {format(int(k), f"0{model.n}b")[::-1] for k in np.flatnonzero(table <= gmin + tol)}
     assert rep.argmin_set == ground
+
+
+def _reference_table(model):
+    """Energy table by one strided pass per term over the whole table, no tiles."""
+    e = np.zeros(1 << model.n)
+    if isinstance(model, IsingModel):
+        for i, hi in enumerate(model.h):
+            if hi != 0.0:
+                _bit_view(e, i)[...] += np.array([[-hi], [hi]])
+        for (i, j), v in model.J.items():
+            _pair_view(e, i, j)[...] += np.array([[v, -v], [-v, v]])[:, None, :, None]
+    else:
+        for (i, _), v in model.diagonal_items():
+            _bit_view(e, i)[:, 1, :] += v
+        for (i, j), v in model.offdiagonal_items():
+            _pair_view(e, i, j)[:, 1, :, 1, :] += v
+    e += model.offset
+    return e
+
+
+# n > TILE_BITS reaches the mixed (i < K <= j) and high-bit (K <= i) passes
+@settings(max_examples=40, deadline=None)
+@given(models(TILE_BITS + 1, 16), st.integers(0, 2**32 - 1))
+def test_tiled_table_matches_scalar_evaluators_on_sampled_indices(model, seed):
+    n, k = model.n, TILE_BITS
+    rng = np.random.default_rng(seed)
+    low = rng.integers(0, 1 << k, 8)
+    high = rng.integers(0, 1 << (n - k), 8) << k
+    indices = [0, (1 << n) - 1, (1 << k) - 1, 1 << k, (1 << k) + 1, 1 << (n - 1),
+               *low.tolist(), *high.tolist(), *(low | high).tolist()]
+    table = energy_table(model)
+    scalar = np.array([_scalar_energy(model, i) for i in indices])
+    assert table[indices].tobytes() == scalar.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(models(TILE_BITS + 1, 16))
+def test_tiled_table_matches_untiled_reference(model):
+    assert energy_table(model).tobytes() == _reference_table(model).tobytes()

@@ -185,3 +185,26 @@ class TestKeySerialization:
     def test_scheme_tag_checked(self):
         with pytest.raises(ValueError):
             key1_from_dict({"scheme": "II"})
+
+
+class TestStrictKeyParsing:
+    REC = {"scheme": "I", "n": 2, "targets": [0], "tau": 1.5, "offset": 0.0}
+
+    @pytest.mark.parametrize(
+        "field,value", [("n", 2.7), ("n", "2"), ("targets", [0.9]), ("targets", [True])]
+    )
+    def test_non_integral_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match="integer"):
+            key1_from_dict({**self.REC, field: value})
+
+    @pytest.mark.parametrize("tau", [0.5, 0.0, float("inf"), float("nan")])
+    def test_tau_must_be_finite_and_at_least_one(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            key1_from_dict({**self.REC, "tau": tau})
+        with pytest.raises(ValueError, match="tau"):
+            KeyI(2, frozenset({0}), tau)
+
+    def test_integral_floats_accepted(self):
+        key = key1_from_dict({**self.REC, "n": 2.0, "targets": [1.0], "tau": 1.0})
+        assert key == KeyI(2, frozenset({1}), 1.0)
+        assert type(key.n) is int

@@ -320,3 +320,26 @@ class TestKeySerialization:
         perm = gen_permutation(6, rng)
         s = "010011"
         assert permute_bits(permute_bits(s, perm), invert_permutation(perm)) == s
+
+
+class TestStrictKeyParsing:
+    @staticmethod
+    def _record():
+        return key2_to_dict(encrypt2(random_ising(np.random.default_rng(49), n=2), 1,
+                                     np.random.default_rng(50))[1])
+
+    @pytest.mark.parametrize("field,value", [("n", 2.5), ("m", 1.5), ("perm", [0, 1.7, 2])])
+    def test_non_integral_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match="integer"):
+            key2_from_dict({**self._record(), field: value})
+
+
+def test_all_zero_model_has_a_clear_encrypt2_error():
+    flat = IsingModel(3, (0.0,) * 3, {})
+    with pytest.raises(ValueError, match="nonzero coefficient"):
+        encrypt2(flat, 1, np.random.default_rng(0))
+    # a coupling-free model with one nonzero field still has weights to draw
+    field_only = IsingModel(3, (0.0, 0.5, 0.0), {})
+    enc, key = encrypt2(field_only, 1, np.random.default_rng(0))
+    decoded = decrypt2(argmin_distribution(brute_force(enc)), key)
+    assert decoded.support == brute_force(field_only).argmin_set

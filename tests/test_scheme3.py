@@ -177,3 +177,9 @@ class TestKeySerialization:
         rec = key3_to_dict(key)
         assert rec["scheme"] == "III"
         assert key3_from_dict(json.loads(json.dumps(rec))) == key
+
+    def test_non_integral_d_star_rejected(self):
+        rng = np.random.default_rng(57)
+        _, key = encrypt3(generate("ba1", 5, rng), rng)
+        with pytest.raises(ValueError, match="integer"):
+            key3_from_dict({**key3_to_dict(key), "d_star": 2.5})

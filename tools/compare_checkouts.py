@@ -13,11 +13,13 @@ manifests record input paths.  A run covers:
   ``cli.main``), hashing every written file and manifest and keeping
   the stdout of ``verify`` and ``stats``;
 * ``energy_table`` on seeded random Ising and QUBO models (n <= 12,
-  coefficient scales 1e-12 to 1e12, offsets up to 1e10), hashing each
-  table's bytes.
+  plus 200 more with 11 <= n <= 18 so that both sides of the
+  2^10-entry tile width are covered; coefficient scales 1e-12 to 1e12,
+  offsets up to 1e10), hashing each table's bytes.
 
 The script prints one line per differing item and exits nonzero if
-anything differs.
+anything differs, if a pipeline fails its output check, or if a
+pipeline leaves a ``*.tmp`` file in the work directory.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import tempfile
 from pathlib import Path
 
 PIPELINES = {"exact-verify": 30, "qaoa-decode": 12, "client-large": 6}
+WIDE_MODELS = 200  # tables with 11 <= n <= 18, after the --models ones
 FILES = ("problem", "encrypted", "key", "dist", "decoded")
 
 
@@ -61,7 +64,8 @@ def _pipeline_outputs(workloads, cli, workdir: Path, seed: int) -> dict:
             workdir.mkdir()
             pipeline = Recording(cli, str(workdir))
             result = pipeline.run(workloads.instance(name, seed, i))
-            record = {"ok": result.ok, "stdout": pipeline.stdout}
+            record = {"ok": result.ok, "stdout": pipeline.stdout,
+                      "tmp": sorted(p.name for p in workdir.glob("*.tmp"))}
             for f in FILES:
                 path = Path(pipeline.path[f])
                 for p in (path, Path(str(path) + ".manifest.json")):
@@ -70,14 +74,14 @@ def _pipeline_outputs(workloads, cli, workdir: Path, seed: int) -> dict:
     return out
 
 
-def _random_models(count: int, seed: int):
+def _random_models(count: int, seed, min_n: int = 1, max_n: int = 12):
     import numpy as np
 
     from isingcloak import IsingModel, QuboModel
 
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        n = int(rng.integers(1, 13))
+        n = int(rng.integers(min_n, max_n + 1))
         scale = 10.0 ** rng.integers(-12, 13)
         offset = float(rng.uniform(-1e10, 1e10)) if rng.random() < 0.5 else 0.0
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
@@ -102,6 +106,10 @@ def child(checkout: Path, workdir: Path, seed: int, models: int) -> None:
     with contextlib.redirect_stderr(io.StringIO()):
         outputs = _pipeline_outputs(workloads, cli, workdir, seed)
     tables = [_digest(energy_table(m).tobytes()) for m in _random_models(models, seed)]
+    tables += [
+        _digest(energy_table(m).tobytes())
+        for m in _random_models(WIDE_MODELS, [seed, 1], min_n=11, max_n=18)
+    ]
     json.dump({"pipelines": outputs, "tables": tables}, sys.stdout)
 
 
@@ -131,19 +139,28 @@ def main(argv=None) -> int:
     old, new = runs
     diffs = [k for k in old["pipelines"] if old["pipelines"][k] != new["pipelines"].get(k)]
     failed = [k for k in new["pipelines"] if not new["pipelines"][k]["ok"]]
+    leftover = [
+        (checkout, k, run["pipelines"][k]["tmp"])
+        for checkout, run in zip((args.old, args.new), runs)
+        for k in run["pipelines"]
+        if run["pipelines"][k]["tmp"]
+    ]
     tables = sum(a != b for a, b in zip(old["tables"], new["tables"]))
     for k in diffs:
         print(f"pipeline {k} differs: {old['pipelines'][k]} != {new['pipelines'][k]}")
     for k in failed:
         print(f"pipeline {k} failed its output check")
+    for checkout, k, names in leftover:
+        print(f"pipeline {k} of {checkout} left temporaries {names}")
     print(json.dumps({
         "pipelines": len(old["pipelines"]),
         "pipelines_differing": len(diffs),
         "pipelines_failed": len(failed),
+        "pipelines_leaving_tmp": len(leftover),
         "tables": len(old["tables"]),
         "tables_differing": tables,
     }))
-    return 1 if diffs or failed or tables else 0
+    return 1 if diffs or failed or leftover or tables else 0
 
 
 if __name__ == "__main__":

@@ -24,6 +24,8 @@ bit-reproducible.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -95,7 +97,7 @@ class IsingModel:
             J[(int(i), int(j))] = v
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "J", J)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", _real(self.offset, "offset"))
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ class QuboModel:
                 raise ValueError(f"key {key} has a non-finite coefficient")
             A[(int(i), int(j))] = v
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", _real(self.offset, "offset"))
 
     def diagonal_items(self):
         return [(k, v) for k, v in self.A.items() if k[0] == k[1]]
@@ -305,6 +307,22 @@ def _integral(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a finite float; strings, booleans and non-finite values are rejected."""
+    if type(value) is float:  # the common case, kept cheap
+        real = value
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:
+            real = math.inf
+    else:
+        real = math.nan
+    if math.isfinite(real):
+        return real
+    raise ValueError(f"{what} must be a finite real number, got {value!r}")
+
+
 def _pair_map(entries, what: str) -> dict:
     """``[[i, j, v], ...]`` as ``{(i, j): v}``, rejecting repeated pairs."""
     pairs = {}
@@ -313,7 +331,7 @@ def _pair_map(entries, what: str) -> dict:
             i, j = _integral(i, what + " index"), _integral(j, what + " index")
         if (i, j) in pairs:
             raise ValueError(f"{what} lists pair {(i, j)} more than once")
-        pairs[i, j] = float(v)
+        pairs[i, j] = _real(v, what + " value")
     return pairs
 
 
@@ -321,9 +339,9 @@ def ising_from_dict(data: Mapping) -> IsingModel:
     try:
         return IsingModel(
             n=_integral(data["n"], "n"),
-            h=tuple(float(v) for v in data["h"]),
+            h=tuple(_real(v, "h entry") for v in data["h"]),
             J=_pair_map(data["J"], "J"),
-            offset=float(data["offset"]),
+            offset=_real(data["offset"], "offset"),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed Ising model record: {exc}") from exc
@@ -342,7 +360,7 @@ def qubo_from_dict(data: Mapping) -> QuboModel:
         return QuboModel(
             n=_integral(data["n"], "n"),
             A=_pair_map(data["A"], "A"),
-            offset=float(data["offset"]),
+            offset=_real(data["offset"], "offset"),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed QUBO model record: {exc}") from exc
@@ -356,7 +374,11 @@ def distribution_from_dict(data: Mapping) -> OutcomeDistribution:
     try:
         return OutcomeDistribution(
             n=_integral(data["n"], "n"),
-            weights={str(b): float(w) for b, w in data["counts"].items()},
+            # the type test keeps the common case cheap: this runs once per outcome
+            weights={
+                str(b): w if type(w) is float else _real(w, f"weight of {b!r}")
+                for b, w in data["counts"].items()
+            },
         )
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed distribution record: {exc}") from exc

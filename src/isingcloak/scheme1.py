@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import IsingModel, OutcomeDistribution, _integral
+from .core import IsingModel, OutcomeDistribution, _integral, _real
 from .util import as_rng, flip_positions
 
 
@@ -139,8 +139,8 @@ def key1_from_dict(data: Mapping) -> KeyI:
         return KeyI(
             n=_integral(data["n"], "n"),
             targets=frozenset(_integral(t, "target") for t in data["targets"]),
-            tau=float(data["tau"]),
-            offset=float(data["offset"]),
+            tau=_real(data["tau"], "tau"),
+            offset=_real(data["offset"], "offset"),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed scheme I key: {exc}") from exc

@@ -27,6 +27,7 @@ from .core import (
     OutcomeDistribution,
     QuboModel,
     _integral,
+    _real,
     ising_to_qubo,
     qubo_to_ising,
 )
@@ -98,11 +99,12 @@ class DecoyPlacement:
 
 @dataclass(frozen=True)
 class KeyII:
-    """Client-secret key for scheme II.
+    """Client-secret key for the decoy schemes II and III.
 
     ``perm`` maps pre-permutation variable index i to its disclosed
     position perm[i]; ``key1`` is the scheme-I key over all n+m
-    variables; ``offset`` the original client offset.
+    variables; ``offset`` the original client offset; ``d_star`` the
+    target degree of a scheme-III key and None for scheme II.
     """
 
     n: int
@@ -110,8 +112,15 @@ class KeyII:
     perm: tuple
     key1: KeyI
     offset: float = 0.0
+    d_star: int | None = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n must be a positive integer, got {self.n}")
+        if self.m < 0:
+            raise ValueError(f"m must be nonnegative, got {self.m}")
+        if self.d_star is not None and self.d_star < 0:
+            raise ValueError(f"d_star must be nonnegative, got {self.d_star}")
         perm = tuple(int(p) for p in self.perm)
         size = self.n + self.m
         if sorted(perm) != list(range(size)):
@@ -138,9 +147,10 @@ def build_roulette(coeffs: Sequence[float], bins: int = 10, mode: str = "inverse
         raise ValueError("bins must be at least 1")
     mags = np.abs(coeffs)
     lo, hi = float(mags.min()), float(mags.max())
-    if lo == hi:
-        # degenerate magnitude range; widen so bins have positive width
-        lo, hi = lo - 0.5, hi + 0.5
+    if hi - lo <= 1e-9 * hi:
+        # magnitudes equal up to roundoff: widen in proportion to them so
+        # bins have positive width and decoys keep the problem's scale
+        lo, hi = (0.5 * hi, 1.5 * hi) if hi > 0.0 else (-0.5, 0.5)
     counts, edges = np.histogram(mags, bins=bins, range=(lo, hi))
     p = counts / counts.sum()
     if mode == "preserve":
@@ -215,12 +225,18 @@ def embed_decoys(
         for i2 in picked:
             C[(i2, j)] = sample_weight(wheel, rng)
     placement = DecoyPlacement(B, C)
+    return _augment(q, m, placement), placement
+
+
+def _augment(q: QuboModel, m: int, placement: DecoyPlacement) -> QuboModel:
+    """``q`` with m decoys at indices n..n+m-1, coupled as ``placement`` records."""
+    n = q.n
     A = dict(q.A)
     for (r, j), w in placement.B_entries.items():
         A[(r, n + j)] = w
     for (i2, j), w in placement.C_entries.items():
         A[(n + i2, n + j)] = w
-    return QuboModel(n + m, A, q.offset), placement
+    return QuboModel(n + m, A, q.offset)
 
 
 def gen_permutation(size: int, rng=None) -> tuple:
@@ -264,13 +280,15 @@ def permute_bits(bits: str, perm: Sequence[int]) -> str:
     return "".join(bits[perm[i]] for i in range(len(bits)))
 
 
-def _permute_convert_cipher(aug: QuboModel, rng):
-    """Shared tail of schemes II and III: permute, convert, cipher."""
+def _seal(model: IsingModel, aug: QuboModel, rng, d_star: int | None = None):
+    """Shared tail of schemes II and III: permute, convert, cipher, build the key."""
     perm = gen_permutation(aug.n, rng)
     disclosed = apply_permutation(aug, perm)
     ising = qubo_to_ising(disclosed)
     key1 = gen_key1(aug.n, rng)
-    return encrypt1(ising, key1), perm, key1
+    key = KeyII(n=model.n, m=aug.n - model.n, perm=perm, key1=key1, offset=model.offset,
+                d_star=d_star)
+    return encrypt1(ising, key1), key
 
 
 def encrypt2(
@@ -299,13 +317,11 @@ def encrypt2(
         )
     wheel = build_roulette(list(q.A.values()), bins=bins, mode=mode)
     aug, _ = embed_decoys(q, m, wheel, rng, kmax_out=kmax_out, kmax_in=kmax_in)
-    encrypted, perm, key1 = _permute_convert_cipher(aug, rng)
-    key = KeyII(n=model.n, m=m, perm=perm, key1=key1, offset=model.offset)
-    return encrypted, key
+    return _seal(model, aug, rng)
 
 
-def decrypt2(dist: OutcomeDistribution, key) -> OutcomeDistribution:
-    """Reverse the scheme-II layers on a measured distribution.
+def decrypt2(dist: OutcomeDistribution, key: KeyII) -> OutcomeDistribution:
+    """Reverse the scheme-II (and scheme-III) layers on a measured distribution.
 
     Undoes the scheme-I bit flips, un-permutes bit positions, truncates
     to the first n (primary) bits and merges the weights of outcomes
@@ -335,26 +351,33 @@ def attack_complexity2(n: int, m: int) -> float:
 
 
 def key2_to_dict(key: KeyII) -> dict:
-    return {
-        "scheme": "II",
+    """Key record: scheme III's is scheme II's plus a trailing ``"d_star"``."""
+    record = {
+        "scheme": "II" if key.d_star is None else "III",
         "n": key.n,
         "m": key.m,
         "perm": list(key.perm),
         "key1": key1_to_dict(key.key1),
         "offset": key.offset,
     }
+    if key.d_star is not None:
+        record["d_star"] = key.d_star
+    return record
 
 
 def key2_from_dict(data: Mapping) -> KeyII:
-    if data.get("scheme") != "II":
-        raise ValueError(f"expected a scheme II key, got {data.get('scheme')!r}")
+    """Parse a scheme II or scheme III key record."""
+    scheme = data.get("scheme")
+    if scheme not in ("II", "III"):
+        raise ValueError(f"expected a scheme II or III key, got {scheme!r}")
     try:
         return KeyII(
             n=_integral(data["n"], "n"),
             m=_integral(data["m"], "m"),
             perm=tuple(_integral(p, "perm entry") for p in data["perm"]),
             key1=key1_from_dict(data["key1"]),
-            offset=float(data["offset"]),
+            offset=_real(data["offset"], "offset"),
+            d_star=_integral(data["d_star"], "d_star") if scheme == "III" else None,
         )
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed scheme II key: {exc}") from exc
+        raise ValueError(f"malformed scheme {scheme} key: {exc}") from exc

@@ -12,26 +12,30 @@ from four arithmetic conditions on the degree deficiencies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .core import (
-    IsingModel,
-    OutcomeDistribution,
-    QuboModel,
-    _integral,
-    ising_to_qubo,
-    problem_graph,
-)
-from .scheme1 import KeyI, key1_from_dict, key1_to_dict
+from .core import IsingModel, ising_to_qubo, problem_graph
 from .scheme2 import (
     DecoyPlacement,
-    _permute_convert_cipher,
+    KeyII,
+    _augment,
+    _seal,
     attack_complexity2,
     build_roulette,
     decrypt2,
+    key2_from_dict,
+    key2_to_dict,
     sample_weight,
 )
 from .util import as_rng
+
+# scheme III keys, decoding, attack cost and key records are scheme II's;
+# a scheme-III key is a KeyII whose d_star is set
+KeyIII = KeyII
+decrypt3 = decrypt2
+attack_complexity3 = attack_complexity2
+key3_to_dict = key2_to_dict
+key3_from_dict = key2_from_dict
 
 
 @dataclass(frozen=True)
@@ -48,28 +52,6 @@ class RegularizationPlan:
     deficiencies: tuple
     total_deficiency: int
     decoy_edges: tuple
-
-
-@dataclass(frozen=True)
-class KeyIII:
-    """Scheme-II key shape plus the target degree d*."""
-
-    n: int
-    m: int
-    perm: tuple
-    key1: KeyI
-    offset: float
-    d_star: int
-
-    def __post_init__(self):
-        perm = tuple(int(p) for p in self.perm)
-        size = self.n + self.m
-        if sorted(perm) != list(range(size)):
-            raise ValueError("perm must be a bijection on 0..n+m-1")
-        if self.key1.n != size:
-            raise ValueError("inner scheme I key must cover all n+m variables")
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "offset", float(self.offset))
 
 
 def check_conditions(n: int, m: int, d_star: int, s: int, max_e: int) -> bool:
@@ -111,7 +93,7 @@ def minimal_decoy_count(degrees: Sequence[int], d_star: int, m_min: int = 0) -> 
     )
 
 
-def regular_edge_set(degrees: Sequence[int], d_star: int, m: int, rng=None) -> RegularizationPlan:
+def regular_edge_set(degrees: Sequence[int], d_star: int, m: int) -> RegularizationPlan:
     """Greedy decoy-edge placement achieving d*-regularity.
 
     Primaries are processed by descending deficiency (ties to the
@@ -120,10 +102,9 @@ def regular_edge_set(degrees: Sequence[int], d_star: int, m: int, rng=None) -> R
     the highest-deficiency decoy in full against the next-highest
     non-adjacent decoys until every decoy reaches d*.  Both phases keep
     the decoy loads balanced, which makes the construction complete
-    whenever the feasibility conditions hold.  Fully deterministic;
-    ``rng`` is accepted for interface parity and ignored.  Regularity
-    is asserted after construction, so an infeasible input surfaces as
-    a hard error.
+    whenever the feasibility conditions hold.  Fully deterministic.
+    Regularity is asserted after construction, so an infeasible input
+    surfaces as a hard error.
     """
     degrees = [int(d) for d in degrees]
     n = len(degrees)
@@ -197,7 +178,8 @@ def regular_edge_set(degrees: Sequence[int], d_star: int, m: int, rng=None) -> R
 
 def _placement_from_plan(plan: RegularizationPlan, n: int, wheel, rng) -> DecoyPlacement:
     # weights drawn in sorted edge order, then one diagonal (linear)
-    # term per decoy so decoys carry plausible h values after conversion
+    # term per decoy so decoys carry plausible h values after conversion;
+    # a plan with m = 0 draws nothing, so its wheel may be None
     B = {}
     C = {}
     for u, v in plan.decoy_edges:
@@ -229,55 +211,6 @@ def encrypt3(model: IsingModel, rng=None, d_star: int | None = None, bins: int =
     m = minimal_decoy_count(graph.degrees, d_star)
     plan = regular_edge_set(graph.degrees, d_star, m)
     q = ising_to_qubo(model)
-    if m > 0:
-        wheel = build_roulette(list(q.A.values()), bins=bins, mode=mode)
-        placement = _placement_from_plan(plan, model.n, wheel, rng)
-        A = dict(q.A)
-        for (r, j), w in placement.B_entries.items():
-            A[(r, model.n + j)] = w
-        for (i2, j), w in placement.C_entries.items():
-            A[(model.n + i2, model.n + j)] = w
-        aug = QuboModel(model.n + m, A, q.offset)
-    else:
-        aug = q
-    encrypted, perm, key1 = _permute_convert_cipher(aug, rng)
-    key = KeyIII(n=model.n, m=m, perm=perm, key1=key1, offset=model.offset, d_star=d_star)
-    return encrypted, key
-
-
-def decrypt3(dist: OutcomeDistribution, key: KeyIII) -> OutcomeDistribution:
-    """Identical reversal to scheme II (d* plays no role in decoding)."""
-    return decrypt2(dist, key)
-
-
-def attack_complexity3(n: int, m: int) -> float:
-    """Same cost model as scheme II."""
-    return attack_complexity2(n, m)
-
-
-def key3_to_dict(key: KeyIII) -> dict:
-    return {
-        "scheme": "III",
-        "n": key.n,
-        "m": key.m,
-        "perm": list(key.perm),
-        "key1": key1_to_dict(key.key1),
-        "offset": key.offset,
-        "d_star": key.d_star,
-    }
-
-
-def key3_from_dict(data: Mapping) -> KeyIII:
-    if data.get("scheme") != "III":
-        raise ValueError(f"expected a scheme III key, got {data.get('scheme')!r}")
-    try:
-        return KeyIII(
-            n=_integral(data["n"], "n"),
-            m=_integral(data["m"], "m"),
-            perm=tuple(_integral(p, "perm entry") for p in data["perm"]),
-            key1=key1_from_dict(data["key1"]),
-            offset=float(data["offset"]),
-            d_star=_integral(data["d_star"], "d_star"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed scheme III key: {exc}") from exc
+    wheel = build_roulette(list(q.A.values()), bins=bins, mode=mode) if m else None
+    placement = _placement_from_plan(plan, model.n, wheel, rng)
+    return _seal(model, _augment(q, m, placement), rng, d_star)

@@ -263,3 +263,39 @@ def test_encrypt2_all_zero_model_is_a_one_line_error(tmp_path, capsys):
     payload = json.loads(err)
     assert payload["type"] == "ValueError" and "nonzero coefficient" in payload["error"]
     assert sorted(x.name for x in tmp_path.iterdir()) == ["p.json"]
+
+
+def _encrypt_solve_verify(tmp_path, problem, *encrypt_args):
+    p, e, k, d = (tmp_path / x for x in ("p.json", "e.json", "k.json", "d.json"))
+    p.write_text(json.dumps(problem))
+    assert run("encrypt", "--problem", p, "--seed", 1, "--out", e, "--key-out", k,
+               *encrypt_args) == 0
+    assert run("solve", "--problem", e, "--method", "brute", "--out", d) == 0
+    return run("verify", "--problem", p, "--key", k, "--dist", d)
+
+
+@pytest.mark.parametrize(
+    "problem,encrypt_args,argmin",
+    [
+        # the offset would round the 1e-8 field away inside the oracle's table
+        ({"n": 2, "h": [1e-08, 0.0], "J": [], "offset": 2e9}, ("--scheme", "I"), ["00", "01"]),
+        # decoy weights of a one-coefficient model must keep its 1e-12 scale
+        ({"n": 2, "h": [1e-12, 0.0], "J": [], "offset": 0.0}, ("--scheme", "II", "--m", 1),
+         ["00", "01"]),
+        # magnitudes 4e-6 and 4.000000000000001e-6 are equal up to roundoff
+        ({"n": 2, "h": [3e-6, -1e-6], "J": [[0, 1, 1e-6]], "offset": 0.0}, ("--scheme", "II"),
+         ["01"]),
+    ],
+)
+def test_verify_recovers_argmin_at_extreme_scales(tmp_path, capsys, problem, encrypt_args, argmin):
+    assert _encrypt_solve_verify(tmp_path, problem, *encrypt_args) == 0
+    assert json.loads(capsys.readouterr().out)["argmin"] == argmin
+
+
+def test_encrypt_rejects_non_real_coefficients(tmp_path, capsys):
+    p, e, k = tmp_path / "p.json", tmp_path / "e.json", tmp_path / "k.json"
+    p.write_text(json.dumps({"n": 2, "h": ["1.5", True], "J": [[0, 1, "2"]], "offset": "3"}))
+    assert run("encrypt", "--problem", p, "--scheme", "I", "--out", e, "--key-out", k) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "finite real number" in json.loads(err)["error"]
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["p.json"]

@@ -277,3 +277,38 @@ class TestSerialization:
     def test_distribution_non_integral_n_rejected(self, n):
         with pytest.raises(ValueError, match="integer"):
             distribution_from_dict({"n": n, "counts": {"01": 1.0}})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("h", ["1.5", 0.0]), ("h", [True, 0.0]), ("J", [[0, 1, "2"]]), ("J", [[0, 1, False]]),
+         ("offset", "3"), ("offset", True), ("offset", float("nan")), ("offset", float("inf")),
+         ("offset", 10**400)],
+    )
+    def test_non_real_ising_fields_rejected(self, field, value):
+        rec = {"n": 2, "h": [0.5, 0.0], "J": [[0, 1, 1.0]], "offset": 0.0, field: value}
+        with pytest.raises(ValueError, match="finite real number"):
+            ising_from_dict(rec)
+
+    @pytest.mark.parametrize("field,value", [("A", [[0, 1, "4"]]), ("offset", float("nan"))])
+    def test_non_real_qubo_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite real number"):
+            qubo_from_dict({"n": 2, "A": [[0, 1, 4.0]], "offset": 0.0, field: value})
+
+    @pytest.mark.parametrize("weight", ["0.5", True])
+    def test_non_real_distribution_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="finite real number"):
+            distribution_from_dict({"n": 2, "counts": {"01": 0.5, "10": weight}})
+
+    def test_integer_and_numpy_reals_accepted(self):
+        m = ising_from_dict({"n": 2, "h": [1, np.float32(0.5)], "J": [[0, 1, np.int64(-2)]],
+                             "offset": 3})
+        assert m == IsingModel(2, (1.0, 0.5), {(0, 1): -2.0}, 3.0)
+        assert distribution_from_dict({"n": 1, "counts": {"0": 3, "1": 1.5}}).weights == {
+            "0": 3.0, "1": 1.5}
+
+    @pytest.mark.parametrize("offset", [float("nan"), float("inf")])
+    def test_non_finite_model_offset_rejected(self, offset):
+        with pytest.raises(ValueError, match="offset"):
+            IsingModel(1, (1.0,), {}, offset)
+        with pytest.raises(ValueError, match="offset"):
+            QuboModel(1, {(0, 0): 1.0}, offset)

@@ -1,13 +1,37 @@
-"""Property tests of the exact oracle over random sizes, scales and offsets."""
+"""Property tests of the exact oracle and of end-to-end argmin recovery
+over random sizes, scales, offsets and densities."""
 
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from isingcloak import IsingModel, QuboModel, brute_force, energy_table, eval_ising, eval_qubo
+from isingcloak import (
+    IsingModel,
+    QuboModel,
+    argmin_distribution,
+    brute_force,
+    decrypt1,
+    decrypt2,
+    decrypt3,
+    encrypt1,
+    encrypt2,
+    encrypt3,
+    energy_table,
+    eval_ising,
+    eval_qubo,
+    gen_key1,
+    minimal_decoy_count,
+    problem_graph,
+)
 from isingcloak.oracle import TILE_BITS, _bit_view, _pair_view
+from isingcloak.scheme1 import key1_from_dict, key1_to_dict
+from isingcloak.scheme2 import key2_from_dict, key2_to_dict
+from isingcloak.scheme3 import key3_from_dict, key3_to_dict
 
 
 def _nonzero(rng, size, scale):
@@ -109,3 +133,69 @@ def test_tiled_table_matches_scalar_evaluators_on_sampled_indices(model, seed):
 @given(models(TILE_BITS + 1, 16))
 def test_tiled_table_matches_untiled_reference(model):
     assert energy_table(model).tobytes() == _reference_table(model).tobytes()
+
+
+@st.composite
+def client_models(draw, max_n=7):
+    """Ising model with n <= max_n, uniform or small-integer coefficients (exact ties)."""
+    n = draw(st.integers(1, max_n))
+    density = draw(st.floats(0.0, 1.0))
+    scale = 10.0 ** draw(st.integers(-12, 12))
+    offset = draw(st.floats(-1e10, 1e10, allow_nan=False))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    integer = draw(st.booleans())
+
+    def values(size):
+        if integer:
+            return rng.integers(1, 4, size) * rng.choice((-1.0, 1.0), size) * scale
+        return _nonzero(rng, size, scale)
+
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    couplings = dict(zip(pairs, values(len(pairs)).tolist()))
+    linear = values(n) * (rng.random(n) < density)
+    return IsingModel(n, tuple(linear.tolist()), couplings, offset)
+
+
+def _assert_recovers(model, encrypted, key, decrypt, to_dict, from_dict):
+    # the offset stays with the client, so the truth is the offset-free argmin
+    truth = brute_force(replace(model, offset=0.0)).argmin_set
+    assert decrypt(argmin_distribution(brute_force(encrypted)), key).support == truth
+    assert from_dict(json.loads(json.dumps(to_dict(key)))) == key
+
+
+@settings(max_examples=200, deadline=None)
+@given(client_models(), st.integers(0, 2**32 - 1))
+def test_scheme1_recovers_argmin(model, seed):
+    key = replace(gen_key1(model.n, np.random.default_rng(seed)), offset=model.offset)
+    _assert_recovers(model, encrypt1(model, key), key, decrypt1, key1_to_dict, key1_from_dict)
+
+
+@settings(max_examples=200, deadline=None)
+@given(client_models(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from(("inverse", "preserve")), st.integers(0, 2**32 - 1))
+def test_scheme2_recovers_argmin(model, m, kmax_out, kmax_in, mode, seed):
+    rng = np.random.default_rng(seed)
+    kmax_out = min(kmax_out, model.n)
+    if not any(model.h) and not model.J:
+        with pytest.raises(ValueError, match="nonzero coefficient"):
+            encrypt2(model, m, rng)
+        return
+    encrypted, key = encrypt2(model, m, rng, kmax_out=kmax_out, kmax_in=kmax_in, mode=mode)
+    _assert_recovers(model, encrypted, key, decrypt2, key2_to_dict, key2_from_dict)
+
+
+@settings(max_examples=200, deadline=None)
+@given(client_models(), st.none() | st.integers(0, 2), st.sampled_from(("inverse", "preserve")),
+       st.integers(0, 2**32 - 1))
+def test_scheme3_recovers_argmin(model, extra_degree, mode, seed):
+    degrees = problem_graph(model).degrees
+    d_star = None if extra_degree is None else max(degrees) + extra_degree
+    assume(model.n + minimal_decoy_count(degrees, d_star or max(degrees)) <= 14)
+    if d_star and not any(model.h) and not model.J:
+        # decoys are needed, but an all-zero model has no weights to draw them from
+        with pytest.raises(ValueError, match="empty coefficient set"):
+            encrypt3(model, np.random.default_rng(seed), d_star=d_star, mode=mode)
+        return
+    encrypted, key = encrypt3(model, np.random.default_rng(seed), d_star=d_star, mode=mode)
+    assert key.d_star == (max(degrees) if d_star is None else d_star)
+    _assert_recovers(model, encrypted, key, decrypt3, key3_to_dict, key3_from_dict)

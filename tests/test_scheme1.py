@@ -204,6 +204,14 @@ class TestStrictKeyParsing:
         with pytest.raises(ValueError, match="tau"):
             KeyI(2, frozenset({0}), tau)
 
+    @pytest.mark.parametrize(
+        "field,value", [("tau", "1.5"), ("tau", True), ("offset", "0.5"), ("offset", False),
+                        ("offset", float("nan"))]
+    )
+    def test_non_real_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite real number"):
+            key1_from_dict({**self.REC, field: value})
+
     def test_integral_floats_accepted(self):
         key = key1_from_dict({**self.REC, "n": 2.0, "targets": [1.0], "tau": 1.0})
         assert key == KeyI(2, frozenset({1}), 1.0)

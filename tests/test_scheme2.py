@@ -69,6 +69,16 @@ class TestBuildRoulette:
         with pytest.raises(ValueError):
             build_roulette([1.0], mode="flat")
 
+    @pytest.mark.parametrize(
+        "coeffs", [[4e-06, 4.000000000000001e-06], [1e-12], [-3e6, 3e6 * (1 + 1e-15)]]
+    )
+    def test_equal_magnitudes_widen_in_proportion(self, coeffs):
+        hi = max(abs(c) for c in coeffs)
+        wheel = build_roulette(coeffs, bins=10)
+        assert wheel.bin_edges[0] == 0.5 * hi and wheel.bin_edges[-1] == 1.5 * hi
+        rng = np.random.default_rng(35)
+        assert all(0.5 * hi <= sample_weight(wheel, rng) <= 1.5 * hi for _ in range(100))
+
 
 class TestSampleWeight:
     def test_range_containment(self):
@@ -332,6 +342,19 @@ class TestStrictKeyParsing:
     def test_non_integral_fields_rejected(self, field, value):
         with pytest.raises(ValueError, match="integer"):
             key2_from_dict({**self._record(), field: value})
+
+    @pytest.mark.parametrize("shift,match", [(3, "n must be"), (-2, "m must be")])
+    def test_bad_decoy_split_rejected(self, shift, match):
+        # n + m is kept, so perm and key1 still cover every variable
+        rec = self._record()
+        rec = {**rec, "n": rec["n"] - shift, "m": rec["m"] + shift}
+        with pytest.raises(ValueError, match=match):
+            key2_from_dict(rec)
+
+    @pytest.mark.parametrize("value", ["0.0", True, float("nan")])
+    def test_non_real_offset_rejected(self, value):
+        with pytest.raises(ValueError, match="finite real number"):
+            key2_from_dict({**self._record(), "offset": value})
 
 
 def test_all_zero_model_has_a_clear_encrypt2_error():

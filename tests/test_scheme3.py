@@ -14,13 +14,14 @@ from isingcloak import (
     brute_force,
     check_conditions,
     decrypt3,
+    encrypt2,
     encrypt3,
     generate,
     minimal_decoy_count,
     problem_graph,
     regular_edge_set,
 )
-from isingcloak.scheme2 import invert_permutation
+from isingcloak.scheme2 import KeyII, invert_permutation, key2_from_dict, key2_to_dict
 from isingcloak.scheme3 import key3_from_dict, key3_to_dict
 
 P3 = IsingModel(3, (0.0,) * 3, {(0, 1): 1.0, (1, 2): -1.0})
@@ -177,6 +178,24 @@ class TestKeySerialization:
         rec = key3_to_dict(key)
         assert rec["scheme"] == "III"
         assert key3_from_dict(json.loads(json.dumps(rec))) == key
+
+    def test_negative_d_star_rejected(self):
+        rng = np.random.default_rng(57)
+        _, key = encrypt3(generate("ba1", 5, rng), rng)
+        with pytest.raises(ValueError, match="d_star must be nonnegative"):
+            key3_from_dict({**key3_to_dict(key), "d_star": -4})
+
+    def test_one_key_type_and_record_for_both_decoy_schemes(self):
+        rng = np.random.default_rng(58)
+        model = generate("ba1", 5, rng)
+        _, key3 = encrypt3(model, rng)
+        _, key2 = encrypt2(model, 2, rng)
+        assert type(key3) is type(key2) is KeyII
+        assert key2.d_star is None
+        rec2, rec3 = key2_to_dict(key2), key3_to_dict(key3)
+        assert list(rec3) == list(rec2) + ["d_star"]
+        assert rec3["scheme"] == "III" and rec2["scheme"] == "II"
+        assert key2_from_dict(rec3) == key3 and key3_from_dict(rec2) == key2
 
     def test_non_integral_d_star_rejected(self):
         rng = np.random.default_rng(57)

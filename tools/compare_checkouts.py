@@ -15,7 +15,12 @@ manifests record input paths.  A run covers:
 * ``energy_table`` on seeded random Ising and QUBO models (n <= 12,
   plus 200 more with 11 <= n <= 18 so that both sides of the
   2^10-entry tile width are covered; coefficient scales 1e-12 to 1e12,
-  offsets up to 1e10), hashing each table's bytes.
+  offsets up to 1e10), hashing each table's bytes;
+* ``encrypt2``/``encrypt3`` called directly on seeded random Ising
+  models, with the settings the command-line mixes never use
+  (``kmax_out``/``kmax_in`` > 1, ``preserve`` roulette, a ``d_star``
+  override, ``m = 0``), hashing each key record and encrypted model,
+  or keeping the ``ValueError`` message of a rejected call.
 
 The script prints one line per differing item and exits nonzero if
 anything differs, if a pipeline fails its output check, or if a
@@ -37,6 +42,7 @@ from pathlib import Path
 
 PIPELINES = {"exact-verify": 30, "qaoa-decode": 12, "client-large": 6}
 WIDE_MODELS = 200  # tables with 11 <= n <= 18, after the --models ones
+ENCRYPTS = 400  # library-level encryptions
 FILES = ("problem", "encrypted", "key", "dist", "decoded")
 
 
@@ -96,6 +102,42 @@ def _random_models(count: int, seed, min_n: int = 1, max_n: int = 12):
             yield QuboModel(n, {**diagonal, **couplings}, offset)
 
 
+def _encrypt_outputs(count: int, seed: int) -> list:
+    import numpy as np
+
+    from isingcloak import IsingModel, encrypt2, encrypt3, ising_to_dict, problem_graph, qubo_to_ising
+    from isingcloak.core import dumps
+    from isingcloak.scheme2 import key2_to_dict
+    from isingcloak.scheme3 import key3_to_dict
+
+    out = []
+    for i, model in enumerate(_random_models(count, [seed, 2], max_n=10)):
+        if not isinstance(model, IsingModel):
+            model = qubo_to_ising(model)
+        rng = np.random.default_rng([seed, 3, i])
+        mode = ("inverse", "preserve")[i % 2]
+        bins = int(rng.integers(1, 13))
+        try:
+            if i % 3:
+                m = int(rng.integers(0, 4))
+                kmax_out = int(rng.integers(1, min(3, model.n) + 1))
+                kmax_in = int(rng.integers(1, 4))
+                enc, key = encrypt2(model, m, rng, kmax_out=kmax_out, kmax_in=kmax_in,
+                                    bins=bins, mode=mode)
+                record = key2_to_dict(key)
+            else:
+                d_star = None
+                if rng.random() < 0.5:
+                    d_star = max(problem_graph(model).degrees) + int(rng.integers(-1, 3))
+                enc, key = encrypt3(model, rng, d_star=d_star, bins=bins, mode=mode)
+                record = key3_to_dict(key)
+            out.append({"key": _digest(dumps(record).encode()),
+                        "encrypted": _digest(dumps(ising_to_dict(enc)).encode())})
+        except ValueError as exc:
+            out.append({"error": str(exc)})
+    return out
+
+
 def child(checkout: Path, workdir: Path, seed: int, models: int) -> None:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     import workloads
@@ -110,7 +152,8 @@ def child(checkout: Path, workdir: Path, seed: int, models: int) -> None:
         _digest(energy_table(m).tobytes())
         for m in _random_models(WIDE_MODELS, [seed, 1], min_n=11, max_n=18)
     ]
-    json.dump({"pipelines": outputs, "tables": tables}, sys.stdout)
+    encrypts = _encrypt_outputs(ENCRYPTS, seed)
+    json.dump({"pipelines": outputs, "tables": tables, "encrypts": encrypts}, sys.stdout)
 
 
 def main(argv=None) -> int:
@@ -146,8 +189,11 @@ def main(argv=None) -> int:
         if run["pipelines"][k]["tmp"]
     ]
     tables = sum(a != b for a, b in zip(old["tables"], new["tables"]))
+    encrypts = [i for i, (a, b) in enumerate(zip(old["encrypts"], new["encrypts"])) if a != b]
     for k in diffs:
         print(f"pipeline {k} differs: {old['pipelines'][k]} != {new['pipelines'][k]}")
+    for i in encrypts:
+        print(f"encrypt {i} differs: {old['encrypts'][i]} != {new['encrypts'][i]}")
     for k in failed:
         print(f"pipeline {k} failed its output check")
     for checkout, k, names in leftover:
@@ -159,8 +205,10 @@ def main(argv=None) -> int:
         "pipelines_leaving_tmp": len(leftover),
         "tables": len(old["tables"]),
         "tables_differing": tables,
+        "encrypts": len(old["encrypts"]),
+        "encrypts_differing": len(encrypts),
     }))
-    return 1 if diffs or failed or leftover or tables else 0
+    return 1 if diffs or failed or leftover or tables or encrypts else 0
 
 
 if __name__ == "__main__":

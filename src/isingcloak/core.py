@@ -16,9 +16,14 @@ The conversion between them uses the affine map z = 2x - 1:
 
 which makes the two energy functions agree pointwise under x = (z+1)/2.
 
-Energies are summed in a fixed order (linear terms by ascending index,
-then quadratic terms by ascending pair, then the offset) so results are
-bit-reproducible.
+Both models describe their energy the same way: ``terms()`` lists the
+coefficients ``(i, j, v)`` in the one summation order (linear terms by
+ascending index as ``i == j``, then pair terms by ascending pair), and
+the class constant ``levels`` holds the value a variable takes at bit 0
+and at bit 1.  A term adds ``v * s_i`` (``i == j``) or ``v * s_i * s_j``,
+where ``s_i = levels[bit i]``; the offset comes last.  The scalar
+evaluators, the oracle's energy table and the graph view all read this
+one description, so their results agree bit for bit.
 """
 
 from __future__ import annotations
@@ -53,6 +58,27 @@ def _check_bits(x: Sequence[int], n: int) -> np.ndarray:
     return x.astype(np.float64)
 
 
+def _checked_pairs(pairs: Mapping, n: int, diagonal: bool) -> dict:
+    """``pairs`` by ascending key, with int keys and float values.
+
+    Keys must satisfy 0 <= i < j < n, or 0 <= i <= j < n with
+    ``diagonal``; values must be finite and nonzero (absent means zero).
+    """
+    name, rel, what = ("key", "<=", "coefficient") if diagonal else ("pair", "<", "coupling")
+    checked = {}
+    for key in sorted(pairs):
+        i, j = key
+        if not 0 <= i <= j < n or (i == j and not diagonal):
+            raise ValueError(f"{name} {key} is not 0 <= i {rel} j < n")
+        v = float(pairs[key])
+        if v == 0.0:
+            raise ValueError(f"{name} {key} stores an exact zero (omit it instead)")
+        if not np.isfinite(v):
+            raise ValueError(f"{name} {key} has a non-finite {what}")
+        checked[(int(i), int(j))] = v
+    return checked
+
+
 @dataclass(frozen=True)
 class IsingModel:
     """Quadratic spin model  f(z) = sum_i h_i z_i + sum_{i<j} J_ij z_i z_j + offset.
@@ -76,6 +102,8 @@ class IsingModel:
     J: dict
     offset: float = 0.0
 
+    levels = (-1.0, 1.0)  # spin at bit 0 and bit 1
+
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError("n must be a positive integer")
@@ -84,20 +112,14 @@ class IsingModel:
             raise ValueError(f"h has length {len(h)}, expected n={self.n}")
         if not all(np.isfinite(h)):
             raise ValueError("h contains non-finite values")
-        J = {}
-        for key in sorted(self.J):
-            i, j = key
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"pair {key} is not 0 <= i < j < n")
-            v = float(self.J[key])
-            if v == 0.0:
-                raise ValueError(f"pair {key} stores an exact zero (omit it instead)")
-            if not np.isfinite(v):
-                raise ValueError(f"pair {key} has a non-finite coupling")
-            J[(int(i), int(j))] = v
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "J", J)
+        object.__setattr__(self, "J", _checked_pairs(self.J, self.n, diagonal=False))
         object.__setattr__(self, "offset", _real(self.offset, "offset"))
+
+    def terms(self) -> list:
+        """``(i, j, v)`` in summation order: nonzero h as ``i == j``, then J by pair."""
+        linear = [(i, i, v) for i, v in enumerate(self.h) if v != 0.0]
+        return linear + [(i, j, v) for (i, j), v in self.J.items()]
 
 
 @dataclass(frozen=True)
@@ -112,21 +134,12 @@ class QuboModel:
     A: dict
     offset: float = 0.0
 
+    levels = (0.0, 1.0)  # binary value at bit 0 and bit 1
+
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError("n must be a positive integer")
-        A = {}
-        for key in sorted(self.A):
-            i, j = key
-            if not (0 <= i <= j < self.n):
-                raise ValueError(f"key {key} is not 0 <= i <= j < n")
-            v = float(self.A[key])
-            if v == 0.0:
-                raise ValueError(f"key {key} stores an exact zero (omit it instead)")
-            if not np.isfinite(v):
-                raise ValueError(f"key {key} has a non-finite coefficient")
-            A[(int(i), int(j))] = v
-        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "A", _checked_pairs(self.A, self.n, diagonal=True))
         object.__setattr__(self, "offset", _real(self.offset, "offset"))
 
     def diagonal_items(self):
@@ -134,6 +147,11 @@ class QuboModel:
 
     def offdiagonal_items(self):
         return [(k, v) for k, v in self.A.items() if k[0] != k[1]]
+
+    def terms(self) -> list:
+        """``(i, j, v)`` in summation order: diagonal entries, then off-diagonal ones by pair."""
+        diagonal = [(i, j, v) for (i, j), v in self.A.items() if i == j]
+        return diagonal + [(i, j, v) for (i, j), v in self.A.items() if i != j]
 
 
 @dataclass(frozen=True)
@@ -190,35 +208,23 @@ class OutcomeDistribution:
 Model = Union[IsingModel, QuboModel]
 
 
-def eval_ising(model: IsingModel, z: Sequence[int]) -> float:
-    """Energy of a spin configuration under ``model``.
-
-    Summation order is fixed: h terms by ascending index, J terms by
-    ascending pair, then the offset.
-    """
-    zz = _check_spins(z, model.n)
+def _energy(model: Model, values: np.ndarray) -> float:
+    """Sum of ``model.terms()`` in order at the variable ``values``, then the offset."""
+    s = values.tolist()
     e = 0.0
-    for i, hi in enumerate(model.h):
-        if hi != 0.0:
-            e += hi * zz[i]
-    for (i, j), v in model.J.items():
-        e += v * zz[i] * zz[j]
-    return float(e + model.offset)
+    for i, j, v in model.terms():
+        e += v * s[i] if i == j else v * s[i] * s[j]
+    return e + model.offset
+
+
+def eval_ising(model: IsingModel, z: Sequence[int]) -> float:
+    """Energy of a spin configuration under ``model``, summed in ``terms()`` order."""
+    return _energy(model, _check_spins(z, model.n))
 
 
 def eval_qubo(model: QuboModel, x: Sequence[int]) -> float:
-    """Energy of a binary configuration under ``model``.
-
-    Summation order: diagonal terms by ascending index, off-diagonal
-    terms by ascending pair, then the offset.
-    """
-    xx = _check_bits(x, model.n)
-    e = 0.0
-    for (i, _), v in model.diagonal_items():
-        e += v * xx[i]
-    for (i, j), v in model.offdiagonal_items():
-        e += v * xx[i] * xx[j]
-    return float(e + model.offset)
+    """Energy of a binary configuration under ``model``, summed in ``terms()`` order."""
+    return _energy(model, _check_bits(x, model.n))
 
 
 def _coupling_row_sums(model: IsingModel) -> np.ndarray:
@@ -266,15 +272,12 @@ def qubo_to_ising(model: QuboModel) -> IsingModel:
 
 def problem_graph(model: Model) -> ProblemGraph:
     """Graph whose edge set is the support of the quadratic terms."""
-    if isinstance(model, IsingModel):
-        pairs = list(model.J)
-    else:
-        pairs = [k for k, _ in model.offdiagonal_items()]
+    pairs = tuple((i, j) for i, j, _ in model.terms() if i != j)
     degrees = [0] * model.n
     for i, j in pairs:
         degrees[i] += 1
         degrees[j] += 1
-    return ProblemGraph(model.n, tuple(sorted(pairs)), tuple(degrees))
+    return ProblemGraph(model.n, pairs, tuple(degrees))
 
 
 # ---------------------------------------------------------------------------

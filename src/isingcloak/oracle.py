@@ -63,23 +63,26 @@ def energy_table(model: Model, include_offset: bool = True) -> np.ndarray:
     """Energies of all 2^n configurations, indexed by bit pattern.
 
     Index k corresponds to the configuration whose variable i is bit i
-    of k (spin -1 for bit 0 under the Ising convention).  The table is
-    one preallocated array, seen as rows of a fixed tile of 2^K entries
-    (K = min(n, TILE_BITS)), and each term makes one in-place pass over
-    it with contiguous inner runs of at least 2^K entries:
+    of k, at value ``model.levels[bit]`` (spin -1 or binary 0 for bit
+    0).  The table is one preallocated array, seen as rows of a fixed
+    tile of 2^K entries (K = min(n, TILE_BITS)), and each term of
+    ``model.terms()``, in order, makes one in-place pass over it with
+    contiguous inner runs of at least 2^K entries:
 
     * a term whose bits all lie below K adds its values over the tile
-      (coefficient times a precomputed +-1 spin or 0/1 bit vector) to
-      every row;
-    * a pair with i < K <= j adds the tile vector of v * z_i, negated
-      on the bit-j = 0 half, along the bit-j axis;
-    * a term on bits >= K adds a 2- or 2x2-entry block of signed
-      coefficients along the bit-i (and bit-j) axes.
+      (coefficient times the tile vectors ``levels[bits]``) to every
+      row;
+    * a pair with i < K <= j adds v * levels[b] times the tile vector
+      of bit i along the bit-j axis, for each bit-j value b;
+    * a term on bits >= K adds a 2- or 2x2-entry block of v times
+      levels along the bit-i (and bit-j) axes.
 
-    Every entry receives the same float additions (+-v for Ising; +v or
-    a no-op +-0.0 for QUBO, as an entry is never -0.0), in the same term
-    order, as the scalar evaluators, so table entries are bit-identical
-    to per-configuration :func:`eval_ising` / :func:`eval_qubo` calls.
+    Where ``levels[0]`` is 0 a term adds a no-op +-0.0 at bit 0 (an
+    entry is never -0.0), so the bit-j or bit-i axis of the last two
+    passes keeps only its bit-1 half.  Every entry receives the same
+    float additions, in the same term order, as the scalar evaluators,
+    so table entries are bit-identical to per-configuration
+    :func:`eval_ising` / :func:`eval_qubo` calls.
     """
     n = model.n
     if n > BRUTE_FORCE_CAP:
@@ -87,45 +90,25 @@ def energy_table(model: Model, include_offset: bool = True) -> np.ndarray:
     k = min(n, TILE_BITS)
     e = np.zeros(1 << n)
     rows = e.reshape(-1, 1 << k)
-    bits = (np.arange(1 << k) >> np.arange(k)[:, None]) & 1
+    levels = np.array(model.levels)
+    tile = levels[(np.arange(1 << k) >> np.arange(k)[:, None]) & 1]
+    lo = 0 if levels[0] else 1
+    high = levels[lo:]  # the levels a pass on a bit >= k must touch
 
     def across(j):
         # view whose axis 1 is bit j >= k and whose last axis is the tile
         return e.reshape(-1, 2, 1 << (j - k), 1 << k)
 
-    if isinstance(model, IsingModel):
-        spins = 2.0 * bits - 1.0
-        for i, hi in enumerate(model.h):
-            if hi == 0.0:
-                continue
-            if i < k:
-                rows += hi * spins[i]
-            else:
-                _bit_view(e, i)[...] += np.array([[-hi], [hi]])
-        for (i, j), v in model.J.items():
-            if j < k:
-                rows += v * (spins[i] * spins[j])
-            elif i < k:
-                p = v * spins[i]
-                across(j)[...] += np.stack([-p, p])[:, None, :]
-            else:
-                _pair_view(e, i, j)[...] += np.array([[v, -v], [-v, v]])[:, None, :, None]
-    else:
-        # where a term is inactive it adds +-0.0, which leaves an entry
-        # unchanged; on bits >= k only the active half or quarter is touched
-        ones = bits.astype(np.float64)
-        for (i, _), v in model.diagonal_items():
-            if i < k:
-                rows += v * ones[i]
-            else:
-                _bit_view(e, i)[:, 1, :] += v
-        for (i, j), v in model.offdiagonal_items():
-            if j < k:
-                rows += v * (ones[i] * ones[j])
-            elif i < k:
-                across(j)[:, 1] += v * ones[i]
-            else:
-                _pair_view(e, i, j)[:, 1, :, 1, :] += v
+    for i, j, v in model.terms():
+        if j < k:
+            rows += v * tile[i] if i == j else v * (tile[i] * tile[j])
+        elif i == j:
+            _bit_view(e, i)[:, lo:] += v * high[:, None]
+        elif i < k:
+            across(j)[:, lo:] += v * high[:, None, None] * tile[i]
+        else:
+            block = v * np.multiply.outer(high, high)
+            _pair_view(e, i, j)[:, lo:, :, lo:] += block[:, None, :, None]
     if include_offset:
         e += model.offset
     return e

@@ -64,22 +64,27 @@ def _evolve(energies: np.ndarray, params: QaoaParams, n: int) -> np.ndarray:
     return state
 
 
-def simulate(model: IsingModel, params: QaoaParams) -> np.ndarray:
-    """Statevector after p layers, starting from the uniform superposition."""
+def _phase_energies(model: IsingModel) -> np.ndarray:
+    """The offset-free energy table that drives the cost phase."""
     if model.n > SIMULATOR_CAP:
         raise ValueError(f"n={model.n} exceeds the simulator cap of {SIMULATOR_CAP}")
-    energies = energy_table(model, include_offset=False)
-    return _evolve(energies, params, model.n)
+    return energy_table(model, include_offset=False)
+
+
+def _expectation(model: IsingModel, energies: np.ndarray, params: QaoaParams) -> float:
+    """Offset-free expectation over the final state's probabilities, then the offset."""
+    state = _evolve(energies, params, model.n)
+    return float((np.abs(state) ** 2) @ energies) + model.offset
+
+
+def simulate(model: IsingModel, params: QaoaParams) -> np.ndarray:
+    """Statevector after p layers, starting from the uniform superposition."""
+    return _evolve(_phase_energies(model), params, model.n)
 
 
 def expectation(model: IsingModel, params: QaoaParams) -> float:
     """Energy expectation of the final state, offset included."""
-    if model.n > SIMULATOR_CAP:
-        raise ValueError(f"n={model.n} exceeds the simulator cap of {SIMULATOR_CAP}")
-    energies = energy_table(model, include_offset=False)
-    state = _evolve(energies, params, model.n)
-    probs = np.abs(state) ** 2
-    return float(probs @ (energies + model.offset))
+    return _expectation(model, _phase_energies(model), params)
 
 
 def _golden_refine(objective, lo: float, hi: float, iters: int):
@@ -124,11 +129,8 @@ def optimize(model: IsingModel, p: int, max_iters: int = 200, rng=None, restarts
         raise ValueError("p must be at least 1")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    if model.n > SIMULATOR_CAP:
-        raise ValueError(f"n={model.n} exceeds the simulator cap of {SIMULATOR_CAP}")
+    energies = _phase_energies(model)
     rng = as_rng(rng)
-    energies = energy_table(model, include_offset=False)
-    n = model.n
 
     trace = []
     best_value = np.inf
@@ -138,9 +140,7 @@ def optimize(model: IsingModel, p: int, max_iters: int = 200, rng=None, restarts
         nonlocal best_value, best_x
         if len(trace) >= max_iters:
             raise _Budget
-        params = QaoaParams(tuple(x[:p]), tuple(x[p:]))
-        state = _evolve(energies, params, n)
-        value = float((np.abs(state) ** 2) @ energies) + model.offset
+        value = _expectation(model, energies, QaoaParams(tuple(x[:p]), tuple(x[p:])))
         if value < best_value:
             best_value = value
             best_x = np.array(x)

@@ -142,7 +142,10 @@ def build_roulette(coeffs: Sequence[float], bins: int = 10, mode: str = "inverse
     """
     coeffs = np.asarray(list(coeffs), dtype=np.float64)
     if coeffs.size == 0:
-        raise ValueError("cannot build a roulette wheel from an empty coefficient set")
+        raise ValueError(
+            "cannot build a roulette wheel from an empty coefficient set: decoy weights "
+            "are drawn from the problem's coefficients, so it needs a nonzero coefficient"
+        )
     if bins < 1:
         raise ValueError("bins must be at least 1")
     mags = np.abs(coeffs)
@@ -310,11 +313,6 @@ def encrypt2(
     """
     rng = as_rng(rng)
     q = ising_to_qubo(model)
-    if not q.A:
-        raise ValueError(
-            "scheme II needs a nonzero coefficient to draw decoy weights from, "
-            "but every h and J of this model is zero (empty coefficient set)"
-        )
     wheel = build_roulette(list(q.A.values()), bins=bins, mode=mode)
     aug, _ = embed_decoys(q, m, wheel, rng, kmax_out=kmax_out, kmax_in=kmax_in)
     return _seal(model, aug, rng)

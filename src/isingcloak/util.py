@@ -25,16 +25,6 @@ def index_to_bitstring(index: int, n: int) -> str:
     return "".join("1" if (index >> i) & 1 else "0" for i in range(n))
 
 
-def bitstring_to_index(bits: str) -> int:
-    index = 0
-    for i, c in enumerate(bits):
-        if c == "1":
-            index |= 1 << i
-        elif c != "0":
-            raise ValueError(f"invalid bitstring character {c!r}")
-    return index
-
-
 def bitstring_to_array(bits: str) -> np.ndarray:
     """Bitstring to a 0/1 integer array (entry i = variable i)."""
     return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")

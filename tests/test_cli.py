@@ -265,6 +265,18 @@ def test_encrypt2_all_zero_model_is_a_one_line_error(tmp_path, capsys):
     assert sorted(x.name for x in tmp_path.iterdir()) == ["p.json"]
 
 
+def test_encrypt3_all_zero_model_is_a_one_line_error(tmp_path, capsys):
+    p, e, k = tmp_path / "p.json", tmp_path / "e.json", tmp_path / "k.json"
+    p.write_text(json.dumps({"n": 3, "h": [0.0, 0.0, 0.0], "J": [], "offset": 1.0}))
+    assert run("encrypt", "--problem", p, "--scheme", "III", "--d-star", 1, "--seed", 1,
+               "--out", e, "--key-out", k) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["type"] == "ValueError" and "nonzero coefficient" in payload["error"]
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["p.json"]
+
+
 def _encrypt_solve_verify(tmp_path, problem, *encrypt_args):
     p, e, k, d = (tmp_path / x for x in ("p.json", "e.json", "k.json", "d.json"))
     p.write_text(json.dumps(problem))

@@ -171,6 +171,18 @@ class TestQuboToIsing:
         assert np.max(np.abs(ei - eq)) <= tol
 
 
+class TestTerms:
+    def test_qubo_lists_diagonal_before_offdiagonal(self):
+        q = QuboModel(3, {(0, 1): 1.0, (1, 1): 2.0, (0, 0): 3.0})
+        assert list(q.terms()) == [(0, 0, 3.0), (1, 1, 2.0), (0, 1, 1.0)]
+        assert q.levels == (0.0, 1.0)
+
+    def test_ising_skips_zero_fields(self):
+        m = IsingModel(3, (0.0, 2.0, 0.0), {(0, 2): -1.5, (0, 1): 0.5})
+        assert list(m.terms()) == [(1, 1, 2.0), (0, 1, 0.5), (0, 2, -1.5)]
+        assert m.levels == (-1.0, 1.0)
+
+
 class TestProblemGraph:
     def test_support(self):
         m = IsingModel(3, (0.0,) * 3, {(0, 1): 1.0, (1, 2): -1.0})

@@ -160,6 +160,11 @@ class TestEncrypt3:
         decoded = decrypt3(argmin_distribution(brute_force(enc)), key)
         assert decoded.support == brute_force(model).argmin_set
 
+    def test_all_zero_model_needing_decoys_has_a_clear_error(self):
+        flat = IsingModel(3, (0.0,) * 3, {})
+        with pytest.raises(ValueError, match="nonzero coefficient"):
+            encrypt3(flat, np.random.default_rng(0), d_star=1)
+
 
 class TestAttackComplexity3:
     def test_delegates_to_scheme2(self):

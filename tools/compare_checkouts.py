@@ -20,7 +20,11 @@ manifests record input paths.  A run covers:
   models, with the settings the command-line mixes never use
   (``kmax_out``/``kmax_in`` > 1, ``preserve`` roulette, a ``d_star``
   override, ``m = 0``), hashing each key record and encrypted model,
-  or keeping the ``ValueError`` message of a rejected call.
+  or keeping the ``ValueError`` message of a rejected call;
+* ``eval_ising``/``eval_qubo`` on sampled configurations of more
+  seeded random models (n <= 40, drawn from their own seeds so the
+  items above stay the same), hashing the energies, and each model's
+  ``problem_graph``.
 
 The script prints one line per differing item and exits nonzero if
 anything differs, if a pipeline fails its output check, or if a
@@ -43,6 +47,8 @@ from pathlib import Path
 PIPELINES = {"exact-verify": 30, "qaoa-decode": 12, "client-large": 6}
 WIDE_MODELS = 200  # tables with 11 <= n <= 18, after the --models ones
 ENCRYPTS = 400  # library-level encryptions
+EVALUATED_MODELS = 300  # models whose scalar energies and graph are hashed
+CONFIGS = 16  # sampled configurations per evaluated model
 FILES = ("problem", "encrypted", "key", "dist", "decoded")
 
 
@@ -138,6 +144,23 @@ def _encrypt_outputs(count: int, seed: int) -> list:
     return out
 
 
+def _evaluation_outputs(count: int, seed: int) -> list:
+    import numpy as np
+
+    from isingcloak import IsingModel, eval_ising, eval_qubo, problem_graph
+
+    out = []
+    for i, model in enumerate(_random_models(count, [seed, 4], max_n=40)):
+        bits = np.random.default_rng([seed, 5, i]).integers(0, 2, (CONFIGS, model.n))
+        if isinstance(model, IsingModel):
+            energies = [eval_ising(model, 2 * x - 1) for x in bits]
+        else:
+            energies = [eval_qubo(model, x) for x in bits]
+        graph = repr(problem_graph(model)).encode()
+        out.append({"energies": _digest(np.array(energies).tobytes()), "graph": _digest(graph)})
+    return out
+
+
 def child(checkout: Path, workdir: Path, seed: int, models: int) -> None:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     import workloads
@@ -153,7 +176,9 @@ def child(checkout: Path, workdir: Path, seed: int, models: int) -> None:
         for m in _random_models(WIDE_MODELS, [seed, 1], min_n=11, max_n=18)
     ]
     encrypts = _encrypt_outputs(ENCRYPTS, seed)
-    json.dump({"pipelines": outputs, "tables": tables, "encrypts": encrypts}, sys.stdout)
+    evaluations = _evaluation_outputs(EVALUATED_MODELS, seed)
+    json.dump({"pipelines": outputs, "tables": tables, "encrypts": encrypts,
+               "evaluations": evaluations}, sys.stdout)
 
 
 def main(argv=None) -> int:
@@ -190,10 +215,15 @@ def main(argv=None) -> int:
     ]
     tables = sum(a != b for a, b in zip(old["tables"], new["tables"]))
     encrypts = [i for i, (a, b) in enumerate(zip(old["encrypts"], new["encrypts"])) if a != b]
+    evaluations = [
+        i for i, (a, b) in enumerate(zip(old["evaluations"], new["evaluations"])) if a != b
+    ]
     for k in diffs:
         print(f"pipeline {k} differs: {old['pipelines'][k]} != {new['pipelines'][k]}")
     for i in encrypts:
         print(f"encrypt {i} differs: {old['encrypts'][i]} != {new['encrypts'][i]}")
+    for i in evaluations:
+        print(f"evaluation {i} differs: {old['evaluations'][i]} != {new['evaluations'][i]}")
     for k in failed:
         print(f"pipeline {k} failed its output check")
     for checkout, k, names in leftover:
@@ -207,8 +237,10 @@ def main(argv=None) -> int:
         "tables_differing": tables,
         "encrypts": len(old["encrypts"]),
         "encrypts_differing": len(encrypts),
+        "evaluations": len(old["evaluations"]),
+        "evaluations_differing": len(evaluations),
     }))
-    return 1 if diffs or failed or leftover or tables or encrypts else 0
+    return 1 if diffs or failed or leftover or tables or encrypts or evaluations else 0
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ one description, so their results agree bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
@@ -40,22 +41,39 @@ import numpy as np
 from .util import validate_bitstring
 
 
-def _check_spins(z: Sequence[int], n: int) -> np.ndarray:
-    z = np.asarray(z)
-    if z.shape != (n,):
-        raise ValueError(f"configuration length {z.shape} does not match n={n}")
-    if not np.all(np.isin(z, (-1, 1))):
-        raise ValueError("spin values must be -1 or +1")
-    return z.astype(np.float64)
+def _integral(value, what: str, least: int | None = None) -> int:
+    """``value`` as an int, at least ``least`` when given.
+
+    Integral floats pass; strings, booleans and other values are rejected.
+    """
+    number = None
+    if isinstance(value, float) and value.is_integer():
+        number = int(value)
+    elif not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            number = operator.index(value)
+    if number is None:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if least is not None and number < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{what} must be {bound}, got {value!r}")
+    return number
 
 
-def _check_bits(x: Sequence[int], n: int) -> np.ndarray:
-    x = np.asarray(x)
-    if x.shape != (n,):
-        raise ValueError(f"configuration length {x.shape} does not match n={n}")
-    if not np.all(np.isin(x, (0, 1))):
-        raise ValueError("binary values must be 0 or 1")
-    return x.astype(np.float64)
+def _real(value, what: str) -> float:
+    """``value`` as a finite float; strings, booleans and non-finite values are rejected."""
+    if type(value) is float:  # the common case, kept cheap
+        real = value
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:
+            real = math.inf
+    else:
+        real = math.nan
+    if math.isfinite(real):
+        return real
+    raise ValueError(f"{what} must be a finite real number, got {value!r}")
 
 
 def _checked_pairs(pairs: Mapping, n: int, diagonal: bool) -> dict:
@@ -64,19 +82,20 @@ def _checked_pairs(pairs: Mapping, n: int, diagonal: bool) -> dict:
     Keys must satisfy 0 <= i < j < n, or 0 <= i <= j < n with
     ``diagonal``; values must be finite and nonzero (absent means zero).
     """
-    name, rel, what = ("key", "<=", "coefficient") if diagonal else ("pair", "<", "coupling")
+    name, rel = ("key", "<=") if diagonal else ("pair", "<")
     checked = {}
-    for key in sorted(pairs):
+    for key, v in pairs.items():
         i, j = key
+        if type(i) is not int or type(j) is not int:
+            i, j = _integral(i, f"{name} index"), _integral(j, f"{name} index")
         if not 0 <= i <= j < n or (i == j and not diagonal):
             raise ValueError(f"{name} {key} is not 0 <= i {rel} j < n")
-        v = float(pairs[key])
+        if type(v) is not float or not math.isfinite(v):
+            v = _real(v, f"{name} {key} value")
         if v == 0.0:
             raise ValueError(f"{name} {key} stores an exact zero (omit it instead)")
-        if not np.isfinite(v):
-            raise ValueError(f"{name} {key} has a non-finite {what}")
-        checked[(int(i), int(j))] = v
-    return checked
+        checked[i, j] = v
+    return {key: checked[key] for key in sorted(checked)}
 
 
 @dataclass(frozen=True)
@@ -105,15 +124,13 @@ class IsingModel:
     levels = (-1.0, 1.0)  # spin at bit 0 and bit 1
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError("n must be a positive integer")
-        h = tuple(float(v) for v in self.h)
-        if len(h) != self.n:
-            raise ValueError(f"h has length {len(h)}, expected n={self.n}")
-        if not all(np.isfinite(h)):
-            raise ValueError("h contains non-finite values")
+        n = _integral(self.n, "n", least=1)
+        h = tuple(_real(v, "h entry") for v in self.h)
+        if len(h) != n:
+            raise ValueError(f"h has length {len(h)}, expected n={n}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "J", _checked_pairs(self.J, self.n, diagonal=False))
+        object.__setattr__(self, "J", _checked_pairs(self.J, n, diagonal=False))
         object.__setattr__(self, "offset", _real(self.offset, "offset"))
 
     def terms(self) -> list:
@@ -137,9 +154,9 @@ class QuboModel:
     levels = (0.0, 1.0)  # binary value at bit 0 and bit 1
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError("n must be a positive integer")
-        object.__setattr__(self, "A", _checked_pairs(self.A, self.n, diagonal=True))
+        n = _integral(self.n, "n", least=1)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "A", _checked_pairs(self.A, n, diagonal=True))
         object.__setattr__(self, "offset", _real(self.offset, "offset"))
 
     def diagonal_items(self):
@@ -175,16 +192,17 @@ class OutcomeDistribution:
     weights: dict
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError("n must be a positive integer")
+        n = _integral(self.n, "n", least=1)
         weights = {}
-        for bits in sorted(self.weights):
-            validate_bitstring(bits, self.n)
-            w = float(self.weights[bits])
-            if not np.isfinite(w) or w < 0.0:
-                raise ValueError(f"weight for {bits!r} must be finite and nonnegative")
+        for bits, w in self.weights.items():
+            validate_bitstring(bits, n)
+            if type(w) is not float:  # the common case is kept cheap: this runs per outcome
+                w = _real(w, f"weight of {bits!r}")
+            if not 0.0 <= w < math.inf:
+                raise ValueError(f"weight of {bits!r} must be finite and nonnegative")
             weights[bits] = w
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "weights", {bits: weights[bits] for bits in sorted(weights)})
 
     @property
     def total(self) -> float:
@@ -208,9 +226,19 @@ class OutcomeDistribution:
 Model = Union[IsingModel, QuboModel]
 
 
-def _energy(model: Model, values: np.ndarray) -> float:
-    """Sum of ``model.terms()`` in order at the variable ``values``, then the offset."""
-    s = values.tolist()
+def _energy(model: Model, values: Sequence) -> float:
+    """Sum of ``model.terms()`` in order at the variable ``values``, then the offset.
+
+    ``values`` must hold ``model.n`` entries, each one of ``model.levels``.
+    """
+    values = np.asarray(values)
+    if values.shape != (model.n,):
+        raise ValueError(f"configuration length {values.shape} does not match n={model.n}")
+    low, high = model.levels
+    if not ((values == low) | (values == high)).all():
+        kind = "spin" if isinstance(model, IsingModel) else "binary"
+        raise ValueError(f"{kind} values must be {low:g} or {high:g}")
+    s = values.astype(np.float64).tolist()
     e = 0.0
     for i, j, v in model.terms():
         e += v * s[i] if i == j else v * s[i] * s[j]
@@ -219,12 +247,12 @@ def _energy(model: Model, values: np.ndarray) -> float:
 
 def eval_ising(model: IsingModel, z: Sequence[int]) -> float:
     """Energy of a spin configuration under ``model``, summed in ``terms()`` order."""
-    return _energy(model, _check_spins(z, model.n))
+    return _energy(model, z)
 
 
 def eval_qubo(model: QuboModel, x: Sequence[int]) -> float:
     """Energy of a binary configuration under ``model``, summed in ``terms()`` order."""
-    return _energy(model, _check_bits(x, model.n))
+    return _energy(model, x)
 
 
 def _coupling_row_sums(model: IsingModel) -> np.ndarray:
@@ -286,66 +314,32 @@ def problem_graph(model: Model) -> ProblemGraph:
 # IsingModel: {"n": int, "h": [float], "J": [[i, j, v]], "offset": float}
 # QuboModel:  {"n": int, "A": [[i, j, v]], "offset": float}
 # OutcomeDistribution: {"n": int, "counts": {bitstring: weight}}
-# Pair lists are sorted lexicographically; field order is fixed.
+# Pair lists are sorted lexicographically; field order is fixed.  The records
+# check their own fields, so the parsers only map JSON fields onto them.
 
 
 def ising_to_dict(model: IsingModel) -> dict:
     return {
         "n": model.n,
         "h": list(model.h),
-        "J": [[i, j, v] for (i, j), v in sorted(model.J.items())],
+        "J": [[i, j, v] for (i, j), v in model.J.items()],
         "offset": model.offset,
     }
-
-
-def _integral(value, what: str) -> int:
-    """``value`` as an int; integral floats pass, anything else is rejected."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
-
-
-def _real(value, what: str) -> float:
-    """``value`` as a finite float; strings, booleans and non-finite values are rejected."""
-    if type(value) is float:  # the common case, kept cheap
-        real = value
-    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            real = float(value)
-        except OverflowError:
-            real = math.inf
-    else:
-        real = math.nan
-    if math.isfinite(real):
-        return real
-    raise ValueError(f"{what} must be a finite real number, got {value!r}")
 
 
 def _pair_map(entries, what: str) -> dict:
     """``[[i, j, v], ...]`` as ``{(i, j): v}``, rejecting repeated pairs."""
     pairs = {}
     for i, j, v in entries:
-        if type(i) is not int or type(j) is not int:
-            i, j = _integral(i, what + " index"), _integral(j, what + " index")
         if (i, j) in pairs:
             raise ValueError(f"{what} lists pair {(i, j)} more than once")
-        pairs[i, j] = _real(v, what + " value")
+        pairs[i, j] = v
     return pairs
 
 
 def ising_from_dict(data: Mapping) -> IsingModel:
     try:
-        return IsingModel(
-            n=_integral(data["n"], "n"),
-            h=tuple(_real(v, "h entry") for v in data["h"]),
-            J=_pair_map(data["J"], "J"),
-            offset=_real(data["offset"], "offset"),
-        )
+        return IsingModel(data["n"], data["h"], _pair_map(data["J"], "J"), data["offset"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed Ising model record: {exc}") from exc
 
@@ -353,36 +347,25 @@ def ising_from_dict(data: Mapping) -> IsingModel:
 def qubo_to_dict(model: QuboModel) -> dict:
     return {
         "n": model.n,
-        "A": [[i, j, v] for (i, j), v in sorted(model.A.items())],
+        "A": [[i, j, v] for (i, j), v in model.A.items()],
         "offset": model.offset,
     }
 
 
 def qubo_from_dict(data: Mapping) -> QuboModel:
     try:
-        return QuboModel(
-            n=_integral(data["n"], "n"),
-            A=_pair_map(data["A"], "A"),
-            offset=_real(data["offset"], "offset"),
-        )
+        return QuboModel(data["n"], _pair_map(data["A"], "A"), data["offset"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed QUBO model record: {exc}") from exc
 
 
 def distribution_to_dict(dist: OutcomeDistribution) -> dict:
-    return {"n": dist.n, "counts": {b: w for b, w in sorted(dist.weights.items())}}
+    return {"n": dist.n, "counts": dict(dist.weights)}
 
 
 def distribution_from_dict(data: Mapping) -> OutcomeDistribution:
     try:
-        return OutcomeDistribution(
-            n=_integral(data["n"], "n"),
-            # the type test keeps the common case cheap: this runs once per outcome
-            weights={
-                str(b): w if type(w) is float else _real(w, f"weight of {b!r}")
-                for b, w in data["counts"].items()
-            },
-        )
+        return OutcomeDistribution(data["n"], data["counts"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed distribution record: {exc}") from exc
 

@@ -127,17 +127,20 @@ def brute_force(model: Model, degeneracy_tol: float = 1e-9) -> SpectrumReport:
     A level is a ground state when it lies within ``degeneracy_tol``
     times the sum of coefficient magnitudes of the minimum.  That sum
     bounds |energy - offset|, so the tolerance follows the scale of the
-    coefficients and ignores the offset.  The minimum, ground set and
-    gap come from reductions over the unsorted table; nothing is sorted
-    unless ``.energies`` is read.
+    coefficients and ignores the offset.  The ground set and gap come
+    from reductions over the offset-free table, so a large offset cannot
+    round small energy differences away; the offset is added afterwards,
+    and since rounding is monotone the minimum equals the least entry of
+    the finished table.  Nothing is sorted unless ``.energies`` is read.
     """
-    table = energy_table(model)
+    table = energy_table(model, include_offset=False)
     gmin = float(table.min())
     tol = degeneracy_tol * _coefficient_scale(model)
     ground = table <= gmin + tol
     argmin_set = frozenset(index_to_bitstring(int(k), model.n) for k in np.flatnonzero(ground))
     gap = float(np.min(table, where=~ground, initial=math.inf)) - gmin
-    return SpectrumReport(model.n, table, argmin_set, gmin, gap)
+    table += model.offset
+    return SpectrumReport(model.n, table, argmin_set, gmin + model.offset, gap)
 
 
 def argmin_distribution(report: SpectrumReport) -> OutcomeDistribution:

@@ -11,7 +11,6 @@ a measured distribution therefore only toggles the bits at positions T.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -37,17 +36,17 @@ class KeyI:
     offset: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError("n must be a positive integer")
-        targets = frozenset(int(t) for t in self.targets)
-        if any(t < 0 or t >= self.n for t in targets):
+        n = _integral(self.n, "n", least=1)
+        targets = frozenset(_integral(t, "target") for t in self.targets)
+        if any(t < 0 or t >= n for t in targets):
             raise ValueError("target indices must lie in [0, n)")
-        tau = float(self.tau)
-        if not (math.isfinite(tau) and tau >= 1.0):
+        tau = _real(self.tau, "tau")
+        if tau < 1.0:
             raise ValueError(f"tau must be a finite value >= 1, got {self.tau!r}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", _real(self.offset, "offset"))
 
 
 def gen_key1(n: int, rng=None) -> KeyI:
@@ -136,11 +135,6 @@ def key1_from_dict(data: Mapping) -> KeyI:
     if data.get("scheme") != "I":
         raise ValueError(f"expected a scheme I key, got {data.get('scheme')!r}")
     try:
-        return KeyI(
-            n=_integral(data["n"], "n"),
-            targets=frozenset(_integral(t, "target") for t in data["targets"]),
-            tau=_real(data["tau"], "tau"),
-            offset=_real(data["offset"], "offset"),
-        )
+        return KeyI(data["n"], data["targets"], data["tau"], data["offset"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed scheme I key: {exc}") from exc

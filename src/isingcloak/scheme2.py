@@ -115,20 +115,18 @@ class KeyII:
     d_star: int | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-        if self.m < 0:
-            raise ValueError(f"m must be nonnegative, got {self.m}")
-        if self.d_star is not None and self.d_star < 0:
-            raise ValueError(f"d_star must be nonnegative, got {self.d_star}")
-        perm = tuple(int(p) for p in self.perm)
-        size = self.n + self.m
-        if sorted(perm) != list(range(size)):
+        n, m = _integral(self.n, "n", least=1), _integral(self.m, "m", least=0)
+        perm = tuple(_integral(p, "perm entry") for p in self.perm)
+        if len(perm) != n + m or sorted(perm) != list(range(n + m)):
             raise ValueError("perm must be a bijection on 0..n+m-1")
-        if self.key1.n != size:
+        if not isinstance(self.key1, KeyI) or self.key1.n != n + m:
             raise ValueError("inner scheme I key must cover all n+m variables")
+        if self.d_star is not None:
+            object.__setattr__(self, "d_star", _integral(self.d_star, "d_star", least=0))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", _real(self.offset, "offset"))
 
 
 def build_roulette(coeffs: Sequence[float], bins: int = 10, mode: str = "inverse") -> RouletteWheel:
@@ -330,7 +328,7 @@ def decrypt2(dist: OutcomeDistribution, key: KeyII) -> OutcomeDistribution:
         raise ValueError(f"distribution has n={dist.n}, key expects n+m={size}")
     unflipped = decrypt1(dist, key.key1)
     merged = {}
-    for bits, w in sorted(unflipped.weights.items()):
+    for bits, w in unflipped.weights.items():
         primary = permute_bits(bits, key.perm)[: key.n]
         merged[primary] = merged.get(primary, 0.0) + w
     return OutcomeDistribution(key.n, merged)
@@ -369,13 +367,10 @@ def key2_from_dict(data: Mapping) -> KeyII:
     if scheme not in ("II", "III"):
         raise ValueError(f"expected a scheme II or III key, got {scheme!r}")
     try:
-        return KeyII(
-            n=_integral(data["n"], "n"),
-            m=_integral(data["m"], "m"),
-            perm=tuple(_integral(p, "perm entry") for p in data["perm"]),
-            key1=key1_from_dict(data["key1"]),
-            offset=_real(data["offset"], "offset"),
-            d_star=_integral(data["d_star"], "d_star") if scheme == "III" else None,
-        )
-    except (KeyError, TypeError) as exc:
+        d_star = data["d_star"] if scheme == "III" else None
+        if scheme == "III" and d_star is None:
+            raise ValueError("d_star of a scheme III key must be an integer, got None")
+        return KeyII(data["n"], data["m"], data["perm"], key1_from_dict(data["key1"]),
+                     data["offset"], d_star)
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed scheme {scheme} key: {exc}") from exc

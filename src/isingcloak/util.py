@@ -39,7 +39,9 @@ def flip_positions(bits: str, positions: Iterable[int]) -> str:
 
 
 def validate_bitstring(bits: str, n: int) -> None:
+    if not isinstance(bits, str):
+        raise ValueError(f"bitstring {bits!r} is not a string")
     if len(bits) != n:
         raise ValueError(f"bitstring length {len(bits)} does not match n={n}")
-    if any(c not in "01" for c in bits):
+    if bits.strip("01"):
         raise ValueError(f"bitstring {bits!r} contains characters outside 0/1")

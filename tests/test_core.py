@@ -1,6 +1,7 @@
 """Core representations, energy evaluation and Ising/QUBO conversion."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,6 +50,12 @@ class TestEvalIsing:
         with pytest.raises(ValueError, match="spin"):
             eval_ising(m, [1, 0])
 
+    def test_levels_compared_by_value(self):
+        m = IsingModel(2, (0.5, 0.0), {(0, 1): 1.0})
+        assert eval_ising(m, np.array([1.0, -1.0])) == eval_ising(m, [1, -1])
+        with pytest.raises(ValueError, match="binary"):
+            eval_qubo(ising_to_qubo(m), [0.5, 1])
+
 
 class TestEvalQubo:
     def test_direct(self):
@@ -71,6 +78,11 @@ class TestEvalQubo:
             eval_qubo(m, [1, -1])
 
 
+ISING = IsingModel(2, (0.5, 0.0), {(0, 1): 1.0})
+QUBO = QuboModel(2, {(0, 1): 4.0})
+DIST = OutcomeDistribution(1, {"0": 0.5})
+
+
 class TestValidation:
     def test_unsorted_pair_rejected(self):
         with pytest.raises(ValueError):
@@ -91,6 +103,30 @@ class TestValidation:
     def test_qubo_lower_triangle_rejected(self):
         with pytest.raises(ValueError):
             QuboModel(2, {(1, 0): 1.0})
+
+    @pytest.mark.parametrize(
+        "record,field,value,match",
+        [
+            (ISING, "n", True, "integer"),
+            (ISING, "h", ("1.5", 0.0), "finite real number"),
+            (ISING, "h", (True, 0.0), "finite real number"),
+            (ISING, "J", {(0, 1): "2"}, "finite real number"),
+            (ISING, "J", {(0.5, 1): 1.0}, "integer"),
+            (QUBO, "A", {(0, 1): True}, "finite real number"),
+            (QUBO, "A", {("0", 1): 4.0}, "integer"),
+            (DIST, "n", True, "integer"),
+            (DIST, "weights", {"0": "0.5"}, "finite real number"),
+            (DIST, "weights", {"0": True}, "finite real number"),
+        ],
+    )
+    def test_constructors_reject_coercion(self, record, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            replace(record, **{field: value})
+
+    def test_integral_float_n_accepted(self):
+        for record in (ISING, QUBO, DIST):
+            assert replace(record, n=float(record.n)) == record
+            assert type(replace(record, n=float(record.n)).n) is int
 
     def test_n_positive(self):
         with pytest.raises(ValueError):
@@ -227,6 +263,12 @@ class TestOutcomeDistribution:
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError):
             OutcomeDistribution(2, {"01": -0.1})
+
+    def test_rejects_non_string_key(self):
+        with pytest.raises(ValueError, match="string"):
+            OutcomeDistribution(1, {1: 1.0})
+        with pytest.raises(ValueError, match="string"):
+            distribution_from_dict({"n": 1, "counts": {1: 1.0}})
 
     def test_normalize(self):
         d = OutcomeDistribution(1, {"0": 1.0, "1": 3.0}).normalized()

@@ -58,6 +58,12 @@ class TestBruteForce:
         assert shifted.argmin_set == brute_force(m).argmin_set
         assert shifted.gap == brute_force(m).gap
 
+    def test_offset_does_not_round_away_the_ground_set(self):
+        # next to an offset of 2e9 the +-1e-8 field is below one ulp
+        rep = brute_force(IsingModel(2, (1e-8, 0.0), {}, 2e9))
+        assert rep.argmin_set == {"00", "01"}
+        assert rep.global_min == 2e9
+
     def test_degeneracy_follows_coefficient_scale(self):
         m = generate("regular3", 8, np.random.default_rng(1))
         tiny = IsingModel(

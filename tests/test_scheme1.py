@@ -1,6 +1,7 @@
 """Scheme I: sign flips, stretching, and outcome decryption."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -211,6 +212,16 @@ class TestStrictKeyParsing:
     def test_non_real_fields_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite real number"):
             key1_from_dict({**self.REC, field: value})
+
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [("n", True, "integer"), ("targets", {0.9}, "integer"), ("targets", {True}, "integer"),
+         ("tau", "1.5", "finite real number"), ("tau", True, "finite real number"),
+         ("offset", "0.5", "finite real number")],
+    )
+    def test_constructor_rejects_coercion(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            replace(KeyI(2, frozenset({0}), 1.5), **{field: value})
 
     def test_integral_floats_accepted(self):
         key = key1_from_dict({**self.REC, "n": 2.0, "targets": [1.0], "tau": 1.0})

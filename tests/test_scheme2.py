@@ -1,6 +1,7 @@
 """Scheme II: roulette wheel, decoy embedding, permutation, round trips."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -350,6 +351,17 @@ class TestStrictKeyParsing:
         rec = {**rec, "n": rec["n"] - shift, "m": rec["m"] + shift}
         with pytest.raises(ValueError, match=match):
             key2_from_dict(rec)
+
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [("n", "2", "integer"), ("m", 1.5, "integer"), ("perm", ("0", "1", "2"), "integer"),
+         ("offset", "0.5", "finite real number"), ("d_star", 2.5, "integer"),
+         ("d_star", True, "integer")],
+    )
+    def test_constructor_rejects_coercion(self, field, value, match):
+        key = key2_from_dict(self._record())
+        with pytest.raises(ValueError, match=match):
+            replace(key, **{field: value})
 
     @pytest.mark.parametrize("value", ["0.0", True, float("nan")])
     def test_non_real_offset_rejected(self, value):

@@ -24,20 +24,32 @@ manifests record input paths.  A run covers:
 * ``eval_ising``/``eval_qubo`` on sampled configurations of more
   seeded random models (n <= 40, drawn from their own seeds so the
   items above stay the same), hashing the energies, and each model's
-  ``problem_graph``.
+  ``problem_graph``;
+* the five JSON parsers (``ising_from_dict``, ``qubo_from_dict``,
+  ``distribution_from_dict``, ``key1_from_dict``, ``key2_from_dict``)
+  on seeded valid records with one field replaced by each value of
+  ``BAD_VALUES`` (a field is a record field, one entry of a list or of
+  the counts, or a field of a nested key), keeping per record whether
+  it was accepted, with a hash of its canonical ``*_to_dict`` form, or
+  the type of the exception that rejected it; these records come from
+  their own seeds too.
 
 The script prints one line per differing item and exits nonzero if
 anything differs, if a pipeline fails its output check, or if a
-pipeline leaves a ``*.tmp`` file in the work directory.
+pipeline leaves a ``*.tmp`` file in the work directory.  A parsed
+record may change in one way only: one that raised another exception
+may now raise ``ValueError``, the one error parsers report.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import hashlib
 import io
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -50,6 +62,8 @@ ENCRYPTS = 400  # library-level encryptions
 EVALUATED_MODELS = 300  # models whose scalar energies and graph are hashed
 CONFIGS = 16  # sampled configurations per evaluated model
 FILES = ("problem", "encrypted", "key", "dist", "decoded")
+PARSED_RECORDS = 20  # valid records per parser in the rejection section
+BAD_VALUES = ("1", True, None, 2.5, 2.0, -1, 0, math.nan, math.inf, 10**400, [])
 
 
 def _digest(data: bytes) -> str:
@@ -161,6 +175,79 @@ def _evaluation_outputs(count: int, seed: int) -> list:
     return out
 
 
+def _valid_records(count: int, seed: int):
+    """``(parser name, record)`` pairs: ``count`` seeded valid records per parser."""
+    import numpy as np
+
+    from isingcloak import IsingModel, encrypt2, encrypt3, gen_key1, qubo_to_ising
+    from isingcloak.core import ising_to_dict, qubo_to_dict
+    from isingcloak.scheme1 import key1_to_dict
+    from isingcloak.scheme2 import key2_to_dict
+
+    rng = np.random.default_rng([seed, 6])
+    for i, model in enumerate(_random_models(2 * count, [seed, 7], max_n=5)):
+        if isinstance(model, IsingModel):
+            yield "ising", ising_to_dict(model)
+        else:
+            yield "qubo", qubo_to_dict(model)
+            model = qubo_to_ising(model)
+        n = model.n
+        picked = rng.integers(1 << n, size=4)
+        counts = {format(int(k), f"0{n}b"): float(rng.random()) for k in picked}
+        yield "distribution", {"n": n, "counts": counts}
+        yield "key1", {**key1_to_dict(gen_key1(n, rng)), "offset": model.offset}
+        try:
+            _, key = encrypt2(model, 1, rng) if i % 2 else encrypt3(model, rng)
+        except ValueError:  # an all-zero model has no coefficients to draw decoys from
+            continue
+        yield "key2", key2_to_dict(key)
+
+
+def _fields(record, rng, path=()):
+    """Paths of the fields to replace: every field of a record, one entry of anything else."""
+    if path:
+        yield path
+    if isinstance(record, dict) and "n" in record:
+        for name, value in record.items():
+            yield from _fields(value, rng, path + (name,))
+    elif isinstance(record, (dict, list)) and record:
+        entries = list(record) if isinstance(record, dict) else range(len(record))
+        entry = entries[int(rng.integers(len(entries)))]
+        yield from _fields(record[entry], rng, path + (entry,))
+
+
+def _parse_outcomes(count: int, seed: int) -> list:
+    import numpy as np
+
+    from isingcloak import core, scheme1, scheme2
+
+    codecs = {
+        "ising": (core.ising_from_dict, core.ising_to_dict),
+        "qubo": (core.qubo_from_dict, core.qubo_to_dict),
+        "distribution": (core.distribution_from_dict, core.distribution_to_dict),
+        "key1": (scheme1.key1_from_dict, scheme1.key1_to_dict),
+        "key2": (scheme2.key2_from_dict, scheme2.key2_to_dict),
+    }
+    rng = np.random.default_rng([seed, 8])
+    out = []
+    for name, record in _valid_records(count, seed):
+        parse, canonical = codecs[name]
+        for path in _fields(record, rng):
+            for value in BAD_VALUES:
+                changed = copy.deepcopy(record)
+                target = changed
+                for step in path[:-1]:
+                    target = target[step]
+                target[path[-1]] = value
+                try:
+                    parsed = canonical(parse(changed))
+                except Exception as exc:  # the exception type is the outcome
+                    out.append(type(exc).__name__)
+                else:
+                    out.append("accepted " + _digest(core.dumps(parsed).encode()))
+    return out
+
+
 def child(checkout: Path, workdir: Path, seed: int, models: int) -> None:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     import workloads
@@ -177,8 +264,9 @@ def child(checkout: Path, workdir: Path, seed: int, models: int) -> None:
     ]
     encrypts = _encrypt_outputs(ENCRYPTS, seed)
     evaluations = _evaluation_outputs(EVALUATED_MODELS, seed)
+    parses = _parse_outcomes(PARSED_RECORDS, seed)
     json.dump({"pipelines": outputs, "tables": tables, "encrypts": encrypts,
-               "evaluations": evaluations}, sys.stdout)
+               "evaluations": evaluations, "parses": parses}, sys.stdout)
 
 
 def main(argv=None) -> int:
@@ -218,12 +306,20 @@ def main(argv=None) -> int:
     evaluations = [
         i for i, (a, b) in enumerate(zip(old["evaluations"], new["evaluations"])) if a != b
     ]
+    # a record may only move from another exception to ValueError
+    parses = [
+        i for i, (a, b) in enumerate(zip(old["parses"], new["parses"]))
+        if a != b and (a.startswith("accepted") or b != "ValueError")
+    ]
+    retyped = sum(a != b for a, b in zip(old["parses"], new["parses"])) - len(parses)
     for k in diffs:
         print(f"pipeline {k} differs: {old['pipelines'][k]} != {new['pipelines'][k]}")
     for i in encrypts:
         print(f"encrypt {i} differs: {old['encrypts'][i]} != {new['encrypts'][i]}")
     for i in evaluations:
         print(f"evaluation {i} differs: {old['evaluations'][i]} != {new['evaluations'][i]}")
+    for i in parses:
+        print(f"parsed record {i} differs: {old['parses'][i]} != {new['parses'][i]}")
     for k in failed:
         print(f"pipeline {k} failed its output check")
     for checkout, k, names in leftover:
@@ -239,8 +335,12 @@ def main(argv=None) -> int:
         "encrypts_differing": len(encrypts),
         "evaluations": len(old["evaluations"]),
         "evaluations_differing": len(evaluations),
+        "parses": len(old["parses"]),
+        "parses_accepted": sum(a.startswith("accepted") for a in old["parses"]),
+        "parses_differing": len(parses),
+        "parses_now_value_error": retyped,
     }))
-    return 1 if diffs or failed or leftover or tables or encrypts or evaluations else 0
+    return 1 if diffs or failed or leftover or tables or encrypts or evaluations or parses else 0
 
 
 if __name__ == "__main__":

@@ -40,7 +40,8 @@ from .core import (
 )
 from .oracle import argmin_distribution, ar, brute_force, rar
 from .qaoa import optimize, sample, simulate
-from .scheme1 import KeyI, attack_complexity1, decrypt1, encrypt1, gen_key1, key1_from_dict, key1_to_dict
+from .scheme1 import (KeyI, attack_complexity1, decrypt1, encrypt1, gen_key1, key1_from_dict,
+                      key1_to_dict, key_scheme)
 from .scheme2 import attack_complexity2, decrypt2, encrypt2, key2_from_dict, key2_to_dict
 # decrypt3 (an alias of decrypt2) stays bound here: perfbench's tracer hooks cli.decrypt3
 from .scheme3 import decrypt3, encrypt3  # noqa: F401
@@ -94,12 +95,7 @@ def _write_outputs(outputs: list, command: str, digests: dict, seed) -> None:
 
 def _load_key(path: str, digests: dict | None = None):
     data = _read_json(path, digests)
-    scheme = data.get("scheme")
-    if scheme == "I":
-        return key1_from_dict(data)
-    if scheme in ("II", "III"):
-        return key2_from_dict(data)
-    raise ValueError(f"key file {path} has unknown scheme {scheme!r}")
+    return key1_from_dict(data) if key_scheme(data) == "I" else key2_from_dict(data)
 
 
 def _decrypt_any(dist: OutcomeDistribution, key) -> OutcomeDistribution:
@@ -145,15 +141,20 @@ def cmd_encrypt(args) -> int:
     return 0
 
 
+def _qaoa_solve(model, args):
+    """Optimize, simulate and sample ``model`` as ``args`` ask: ``(params, trace, dist)``."""
+    rng = as_rng(args.seed)
+    params, trace = optimize(model, args.layers, max_iters=args.iters, rng=rng)
+    return params, trace, sample(simulate(model, params), args.shots, rng)
+
+
 def cmd_solve(args) -> int:
     digests = {}
     model = ising_from_dict(_read_json(args.problem, digests))
     if args.method == "brute":
         dist = argmin_distribution(brute_force(model))
     else:
-        rng = as_rng(args.seed)
-        params, _ = optimize(model, args.layers, max_iters=args.iters, rng=rng)
-        dist = sample(simulate(model, params), args.shots, rng)
+        _, _, dist = _qaoa_solve(model, args)
     _write_outputs([(args.out, distribution_to_dict(dist))], "solve", digests, args.seed)
     return 0
 
@@ -205,9 +206,7 @@ def cmd_stats(args) -> int:
 def cmd_qaoa_sim(args) -> int:
     digests = {}
     model = ising_from_dict(_read_json(args.problem, digests))
-    rng = as_rng(args.seed)
-    params, trace = optimize(model, args.layers, max_iters=args.iters, rng=rng)
-    dist = sample(simulate(model, params), args.shots, rng)
+    params, trace, dist = _qaoa_solve(model, args)
     if args.out:
         _write_outputs([(args.out, distribution_to_dict(dist))], "qaoa-sim", digests, args.seed)
     print(

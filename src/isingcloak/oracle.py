@@ -17,6 +17,7 @@ from .core import IsingModel, Model, OutcomeDistribution, eval_ising, eval_qubo
 from .util import bitstring_to_array, index_to_bitstring
 
 BRUTE_FORCE_CAP = 24
+DEGENERACY_TOL = 1e-9  # ground-state tolerance, relative to the coefficient magnitudes
 
 # energy_table passes run over rows of 2^TILE_BITS contiguous entries:
 # long enough that numpy's per-row overhead is small, short enough
@@ -114,17 +115,10 @@ def energy_table(model: Model, include_offset: bool = True) -> np.ndarray:
     return e
 
 
-def _coefficient_scale(model: Model) -> float:
-    """Sum of coefficient magnitudes, a bound on |energy - offset|."""
-    if isinstance(model, IsingModel):
-        return math.fsum(abs(v) for v in model.h) + math.fsum(abs(v) for v in model.J.values())
-    return math.fsum(abs(v) for v in model.A.values())
-
-
-def brute_force(model: Model, degeneracy_tol: float = 1e-9) -> SpectrumReport:
+def brute_force(model: Model) -> SpectrumReport:
     """Exhaustively enumerate a model and report its exact spectrum.
 
-    A level is a ground state when it lies within ``degeneracy_tol``
+    A level is a ground state when it lies within ``DEGENERACY_TOL``
     times the sum of coefficient magnitudes of the minimum.  That sum
     bounds |energy - offset|, so the tolerance follows the scale of the
     coefficients and ignores the offset.  The ground set and gap come
@@ -135,7 +129,7 @@ def brute_force(model: Model, degeneracy_tol: float = 1e-9) -> SpectrumReport:
     """
     table = energy_table(model, include_offset=False)
     gmin = float(table.min())
-    tol = degeneracy_tol * _coefficient_scale(model)
+    tol = DEGENERACY_TOL * math.fsum(abs(v) for _, _, v in model.terms())
     ground = table <= gmin + tol
     argmin_set = frozenset(index_to_bitstring(int(k), model.n) for k in np.flatnonzero(ground))
     gap = float(np.min(table, where=~ground, initial=math.inf)) - gmin
@@ -156,7 +150,12 @@ def _outcome_energy(model: Model, bits: str) -> float:
     return eval_qubo(model, x)
 
 
-def _top_k_expectation(dist: OutcomeDistribution, model: Model, k: int) -> float:
+def _top_k_expectation(dist: OutcomeDistribution, model: Model, global_min: float, k: int):
+    """Expected energy over the k top-ranked outcomes, divided by ``global_min``."""
+    if global_min == 0.0:
+        raise ValueError("approximation ratio is undefined for a zero global minimum")
+    if not dist.is_normalized:
+        raise ValueError("distribution must be normalized")
     # rank by weight desc, then energy asc, then bitstring; the
     # expectation is normalized by the selected weight so the full-k
     # case coincides bitwise with the unrestricted metric
@@ -172,7 +171,7 @@ def _top_k_expectation(dist: OutcomeDistribution, model: Model, k: int) -> float
         den += w
     if den <= 0.0:
         raise ValueError("selected outcomes carry zero total weight")
-    return num / den
+    return num / den / global_min
 
 
 def ar(dist: OutcomeDistribution, model: Model, global_min: float) -> float:
@@ -181,11 +180,7 @@ def ar(dist: OutcomeDistribution, model: Model, global_min: float) -> float:
     At most 1 for models with a negative global minimum; higher is
     better.
     """
-    if global_min == 0.0:
-        raise ValueError("approximation ratio is undefined for a zero global minimum")
-    if not dist.is_normalized:
-        raise ValueError("distribution must be normalized")
-    return _top_k_expectation(dist, model, len(dist.weights)) / global_min
+    return _top_k_expectation(dist, model, global_min, len(dist.weights))
 
 
 def rar(dist: OutcomeDistribution, model: Model, global_min: float, k: int = 5) -> float:
@@ -198,8 +193,4 @@ def rar(dist: OutcomeDistribution, model: Model, global_min: float, k: int = 5) 
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if global_min == 0.0:
-        raise ValueError("restricted approximation ratio is undefined for a zero global minimum")
-    if not dist.is_normalized:
-        raise ValueError("distribution must be normalized")
-    return _top_k_expectation(dist, model, k) / global_min
+    return _top_k_expectation(dist, model, global_min, k)

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IsingModel, OutcomeDistribution
+from .core import IsingModel, OutcomeDistribution, _real
 from .oracle import energy_table
 from .util import as_rng, index_to_bitstring
 
 SIMULATOR_CAP = 16
+RESTARTS = 10  # random starts of the parameter search
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -31,8 +32,8 @@ class QaoaParams:
     betas: tuple
 
     def __post_init__(self):
-        gammas = tuple(float(g) for g in self.gammas)
-        betas = tuple(float(b) for b in self.betas)
+        gammas = tuple(_real(g, "gamma") for g in self.gammas)
+        betas = tuple(_real(b, "beta") for b in self.betas)
         if len(gammas) != len(betas):
             raise ValueError("gammas and betas must have equal length")
         object.__setattr__(self, "gammas", gammas)
@@ -113,10 +114,10 @@ class _Budget(Exception):
     pass
 
 
-def optimize(model: IsingModel, p: int, max_iters: int = 200, rng=None, restarts: int = 10):
+def optimize(model: IsingModel, p: int, max_iters: int = 200, rng=None):
     """Derivative-free parameter search.
 
-    Runs up to ``restarts`` random starts with (gamma, beta) drawn
+    Runs up to ``RESTARTS`` random starts with (gamma, beta) drawn
     uniformly from [0, pi) per layer; each start performs coordinate
     sweeps that scan a coarse grid over the coordinate's period and
     refine the best cell by golden section.  ``max_iters`` bounds the
@@ -154,7 +155,7 @@ def optimize(model: IsingModel, p: int, max_iters: int = 200, rng=None, restarts
     golden_iters = 14
 
     try:
-        for _ in range(restarts):
+        for _ in range(RESTARTS):
             x = np.concatenate([rng.uniform(0.0, np.pi, p), rng.uniform(0.0, np.pi, p)])
             evaluate(x)
             for _sweep in range(2):

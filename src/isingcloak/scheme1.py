@@ -109,8 +109,6 @@ def decrypt1(dist: OutcomeDistribution, key: KeyI) -> OutcomeDistribution:
 
 def recover_energy1(value: float, key: KeyI, original_offset: float) -> float:
     """Map an energy of the ciphered model back to the client scale."""
-    if not (key.tau > 0.0):
-        raise ValueError("invalid key: tau must be positive")
     return value / key.tau + original_offset
 
 
@@ -131,8 +129,15 @@ def key1_to_dict(key: KeyI) -> dict:
     }
 
 
+def key_scheme(data) -> str | None:
+    """The ``"scheme"`` field of a key record, which must be a JSON object."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"a key record must be a JSON object, got {type(data).__name__}")
+    return data.get("scheme")
+
+
 def key1_from_dict(data: Mapping) -> KeyI:
-    if data.get("scheme") != "I":
+    if key_scheme(data) != "I":
         raise ValueError(f"expected a scheme I key, got {data.get('scheme')!r}")
     try:
         return KeyI(data["n"], data["targets"], data["tau"], data["offset"])

@@ -31,7 +31,7 @@ from .core import (
     ising_to_qubo,
     qubo_to_ising,
 )
-from .scheme1 import KeyI, decrypt1, encrypt1, gen_key1, key1_from_dict, key1_to_dict
+from .scheme1 import KeyI, decrypt1, encrypt1, gen_key1, key1_from_dict, key1_to_dict, key_scheme
 from .util import as_rng
 
 
@@ -50,8 +50,8 @@ class RouletteWheel:
     mode: str
 
     def __post_init__(self):
-        edges = tuple(float(e) for e in self.bin_edges)
-        weights = tuple(float(w) for w in self.sector_weights)
+        edges = tuple(_real(e, "bin edge") for e in self.bin_edges)
+        weights = tuple(_real(w, "sector weight") for w in self.sector_weights)
         if len(edges) != len(weights) + 1 or len(weights) < 1:
             raise ValueError("bin_edges must have exactly one more entry than sector_weights")
         if any(b >= a for a, b in zip(edges[1:], edges[:-1])):
@@ -80,7 +80,7 @@ class DecoyPlacement:
     def __post_init__(self):
         B = {}
         for key in sorted(self.B_entries):
-            v = float(self.B_entries[key])
+            v = _real(self.B_entries[key], f"primary-decoy weight at {key}")
             if v <= 0.0:
                 raise ValueError(f"primary-decoy weight at {key} must be strictly positive")
             B[key] = v
@@ -89,12 +89,20 @@ class DecoyPlacement:
             i, j = key
             if i > j:
                 raise ValueError(f"decoy-block key {key} must satisfy i <= j")
-            v = float(self.C_entries[key])
+            v = _real(self.C_entries[key], f"decoy-block weight at {key}")
             if v < 0.0:
                 raise ValueError(f"decoy-block weight at {key} must be nonnegative")
             C[key] = v
         object.__setattr__(self, "B_entries", B)
         object.__setattr__(self, "C_entries", C)
+
+
+def _checked_permutation(perm: Sequence[int], size: int) -> tuple:
+    """``perm`` as a tuple of ints, which must be a bijection on 0..size-1."""
+    perm = tuple(_integral(p, "perm entry") for p in perm)
+    if len(perm) != size or sorted(perm) != list(range(size)):  # a huge size builds no range
+        raise ValueError(f"perm must be a bijection on 0..{size - 1}")
+    return perm
 
 
 @dataclass(frozen=True)
@@ -116,9 +124,7 @@ class KeyII:
 
     def __post_init__(self):
         n, m = _integral(self.n, "n", least=1), _integral(self.m, "m", least=0)
-        perm = tuple(_integral(p, "perm entry") for p in self.perm)
-        if len(perm) != n + m or sorted(perm) != list(range(n + m)):
-            raise ValueError("perm must be a bijection on 0..n+m-1")
+        perm = _checked_permutation(self.perm, n + m)
         if not isinstance(self.key1, KeyI) or self.key1.n != n + m:
             raise ValueError("inner scheme I key must cover all n+m variables")
         if self.d_star is not None:
@@ -154,12 +160,10 @@ def build_roulette(coeffs: Sequence[float], bins: int = 10, mode: str = "inverse
         lo, hi = (0.5 * hi, 1.5 * hi) if hi > 0.0 else (-0.5, 0.5)
     counts, edges = np.histogram(mags, bins=bins, range=(lo, hi))
     p = counts / counts.sum()
-    if mode == "preserve":
-        weights = p
-    elif mode == "inverse":
+    if mode == "inverse":
         weights = np.where(p > 0.0, np.divide(1.0, p, out=np.zeros_like(p), where=p > 0.0), 0.0)
-    else:
-        raise ValueError(f"unknown roulette mode {mode!r}")
+    else:  # RouletteWheel rejects any mode but "preserve"
+        weights = p
     return RouletteWheel(tuple(edges), tuple(weights), mode)
 
 
@@ -173,10 +177,7 @@ def sample_weight(wheel: RouletteWheel, rng=None) -> float:
     """
     rng = as_rng(rng)
     weights = np.asarray(wheel.sector_weights)
-    total = weights.sum()
-    if total <= 0.0:
-        raise ValueError("invalid wheel: all sector weights are zero")
-    k = int(rng.choice(len(weights), p=weights / total))
+    k = int(rng.choice(len(weights), p=weights / weights.sum()))
     lo, hi = wheel.bin_edges[k], wheel.bin_edges[k + 1]
     w = float(rng.uniform(lo, hi))
     if w <= 0.0:
@@ -262,9 +263,7 @@ def apply_permutation(q: QuboModel, perm: Sequence[int]) -> QuboModel:
     x_new[perm[i]] = x_old[i], so the full spectrum is unchanged as a
     multiset.
     """
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(q.n)):
-        raise ValueError(f"perm must be a bijection on 0..{q.n - 1}")
+    perm = _checked_permutation(perm, q.n)
     A = {}
     for (i, j), v in q.A.items():
         a, b = perm[i], perm[j]
@@ -276,9 +275,9 @@ def permute_bits(bits: str, perm: Sequence[int]) -> str:
     """Undo a variable permutation on a measured bitstring.
 
     Position i of the result is the bit the disclosed problem holds at
-    position perm[i].
+    position perm[i], so a prefix of perm undoes that prefix only.
     """
-    return "".join(bits[perm[i]] for i in range(len(bits)))
+    return "".join([bits[p] for p in perm])
 
 
 def _seal(model: IsingModel, aug: QuboModel, rng, d_star: int | None = None):
@@ -323,13 +322,11 @@ def decrypt2(dist: OutcomeDistribution, key: KeyII) -> OutcomeDistribution:
     to the first n (primary) bits and merges the weights of outcomes
     that collide there.  Total weight is preserved.
     """
-    size = key.n + key.m
-    if dist.n != size:
-        raise ValueError(f"distribution has n={dist.n}, key expects n+m={size}")
-    unflipped = decrypt1(dist, key.key1)
+    unflipped = decrypt1(dist, key.key1)  # checks dist.n against n+m
+    primary_perm = key.perm[: key.n]
     merged = {}
     for bits, w in unflipped.weights.items():
-        primary = permute_bits(bits, key.perm)[: key.n]
+        primary = permute_bits(bits, primary_perm)
         merged[primary] = merged.get(primary, 0.0) + w
     return OutcomeDistribution(key.n, merged)
 
@@ -363,7 +360,7 @@ def key2_to_dict(key: KeyII) -> dict:
 
 def key2_from_dict(data: Mapping) -> KeyII:
     """Parse a scheme II or scheme III key record."""
-    scheme = data.get("scheme")
+    scheme = key_scheme(data)
     if scheme not in ("II", "III"):
         raise ValueError(f"expected a scheme II or III key, got {scheme!r}")
     try:
@@ -372,5 +369,5 @@ def key2_from_dict(data: Mapping) -> KeyII:
             raise ValueError("d_star of a scheme III key must be an integer, got None")
         return KeyII(data["n"], data["m"], data["perm"], key1_from_dict(data["key1"]),
                      data["offset"], d_star)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed scheme {scheme} key: {exc}") from exc

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import IsingModel, ising_to_qubo, problem_graph
+from .core import IsingModel, _integral, ising_to_qubo, problem_graph
 from .scheme2 import (
     DecoyPlacement,
     KeyII,
@@ -72,25 +72,33 @@ def check_conditions(n: int, m: int, d_star: int, s: int, max_e: int) -> bool:
     return True
 
 
-def minimal_decoy_count(degrees: Sequence[int], d_star: int, m_min: int = 0) -> int:
+def _deficiencies(degrees: Sequence[int], d_star: int):
+    """Checked ``(degrees, d_star)``, the deficiencies d* - d_i, their sum s and max max_e.
+
+    Degrees must be nonnegative integers with an even sum, and d* at least their maximum.
+    """
+    degrees = [_integral(d, "degree", least=0) for d in degrees]
+    d_star = _integral(d_star, "d_star")
+    if sum(degrees) % 2:
+        raise ValueError("degrees must have an even sum, as a graph's degrees do")
+    if d_star < max(degrees):
+        raise ValueError(f"d_star={d_star} is below the maximum primary degree {max(degrees)}")
+    deficiencies = [d_star - d for d in degrees]
+    return degrees, d_star, deficiencies, sum(deficiencies), max(deficiencies)
+
+
+def minimal_decoy_count(degrees: Sequence[int], d_star: int) -> int:
     """Smallest feasible decoy count, by ascending linear search.
 
-    The search runs from m_min to n + d* + 1; exhausting that range
-    without a feasible m signals a conditions bug, not a user error.
+    The search runs from 0 to n + d* + 1; exhausting that range without
+    a feasible m signals a conditions bug, not a user error.
     """
-    degrees = [int(d) for d in degrees]
+    degrees, d_star, _, s, max_e = _deficiencies(degrees, d_star)
     n = len(degrees)
-    if d_star < max(degrees):
-        raise ValueError(f"d_star={d_star} is below the maximum degree {max(degrees)}")
-    deficiencies = [d_star - d for d in degrees]
-    s = sum(deficiencies)
-    max_e = max(deficiencies) if deficiencies else 0
-    for m in range(m_min, n + d_star + 2):
+    for m in range(n + d_star + 2):
         if check_conditions(n, m, d_star, s, max_e):
             return m
-    raise RuntimeError(
-        f"no feasible decoy count in [{m_min}, {n + d_star + 1}] for d_star={d_star}"
-    )
+    raise RuntimeError(f"no feasible decoy count in [0, {n + d_star + 1}] for d_star={d_star}")
 
 
 def regular_edge_set(degrees: Sequence[int], d_star: int, m: int) -> RegularizationPlan:
@@ -106,13 +114,9 @@ def regular_edge_set(degrees: Sequence[int], d_star: int, m: int) -> Regularizat
     Regularity is asserted after construction, so an infeasible input
     surfaces as a hard error.
     """
-    degrees = [int(d) for d in degrees]
+    degrees, d_star, deficiencies, s, max_e = _deficiencies(degrees, d_star)
+    m = _integral(m, "m", least=0)
     n = len(degrees)
-    deficiencies = [d_star - d for d in degrees]
-    if any(e < 0 for e in deficiencies):
-        raise ValueError("d_star must be at least the maximum primary degree")
-    s = sum(deficiencies)
-    max_e = max(deficiencies) if deficiencies else 0
     if not check_conditions(n, m, d_star, s, max_e):
         raise ValueError(f"m={m} fails the regularization conditions for d_star={d_star}")
 
@@ -203,11 +207,8 @@ def encrypt3(model: IsingModel, rng=None, d_star: int | None = None, bins: int =
     """
     rng = as_rng(rng)
     graph = problem_graph(model)
-    max_deg = max(graph.degrees)
     if d_star is None:
-        d_star = max_deg
-    elif d_star < max_deg:
-        raise ValueError(f"d_star={d_star} is below the maximum primary degree {max_deg}")
+        d_star = max(graph.degrees)
     m = minimal_decoy_count(graph.degrees, d_star)
     plan = regular_edge_set(graph.degrees, d_star, m)
     q = ising_to_qubo(model)

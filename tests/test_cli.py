@@ -311,3 +311,17 @@ def test_encrypt_rejects_non_real_coefficients(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "finite real number" in json.loads(err)["error"]
     assert sorted(x.name for x in tmp_path.iterdir()) == ["p.json"]
+
+
+@pytest.mark.parametrize("record", [[1], "x", 3])
+def test_non_object_key_file_is_a_one_line_error(tmp_path, capsys, record):
+    d, k, out = tmp_path / "d.json", tmp_path / "k.json", tmp_path / "out.json"
+    d.write_text(json.dumps({"n": 2, "counts": {"01": 1.0}}))
+    k.write_text(json.dumps(record))
+    for argv in (("decrypt", "--dist", d, "--key", k, "--out", out), ("stats", "--key", k)):
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["type"] == "ValueError" and "JSON object" in payload["error"]
+    assert not out.exists()

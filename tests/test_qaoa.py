@@ -160,3 +160,11 @@ class TestCipheredLandscape:
         decoded = decrypt1(dist, key)
         top = sorted(decoded.weights, key=lambda b: -decoded.weights[b])[:2]
         assert set(top) == brute_force(SINGLE_EDGE).argmin_set
+
+
+@pytest.mark.parametrize("value", ["1", True, float("nan"), float("inf")])
+def test_params_reject_coercion(value):
+    with pytest.raises(ValueError, match="finite real number"):
+        QaoaParams((value,), (0.5,))
+    with pytest.raises(ValueError, match="finite real number"):
+        QaoaParams((0.5,), (value,))

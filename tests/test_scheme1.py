@@ -227,3 +227,9 @@ class TestStrictKeyParsing:
         key = key1_from_dict({**self.REC, "n": 2.0, "targets": [1.0], "tau": 1.0})
         assert key == KeyI(2, frozenset({1}), 1.0)
         assert type(key.n) is int
+
+
+@pytest.mark.parametrize("record", [[1], "x", 3, None])
+def test_non_object_key_record_rejected(record):
+    with pytest.raises(ValueError, match="JSON object"):
+        key1_from_dict(record)

@@ -8,11 +8,13 @@ import pytest
 
 from conftest import random_ising
 from isingcloak import (
+    DecoyPlacement,
     IsingModel,
     KeyI,
     KeyII,
     OutcomeDistribution,
     QuboModel,
+    RouletteWheel,
     apply_permutation,
     argmin_distribution,
     attack_complexity2,
@@ -378,3 +380,40 @@ def test_all_zero_model_has_a_clear_encrypt2_error():
     enc, key = encrypt2(field_only, 1, np.random.default_rng(0))
     decoded = decrypt2(argmin_distribution(brute_force(enc)), key)
     assert decoded.support == brute_force(field_only).argmin_set
+
+
+COERCED = ["1", True, float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("value", COERCED)
+def test_roulette_wheel_rejects_coercion(value):
+    with pytest.raises(ValueError, match="finite real number"):
+        RouletteWheel((0.0, value), (1.0,), "inverse")
+    with pytest.raises(ValueError, match="finite real number"):
+        RouletteWheel((0.0, 1.0), (value,), "inverse")
+
+
+@pytest.mark.parametrize("value", COERCED)
+def test_decoy_placement_rejects_coercion(value):
+    with pytest.raises(ValueError, match="finite real number"):
+        DecoyPlacement({(0, 0): value}, {})
+    with pytest.raises(ValueError, match="finite real number"):
+        DecoyPlacement({(0, 0): 1.0}, {(0, 0): value})
+
+
+@pytest.mark.parametrize("perm", [["1", "0"], [1.9, 0.2], [True, 0]])
+def test_apply_permutation_rejects_coercion(perm):
+    q = QuboModel(2, {(0, 0): 1.0, (0, 1): -2.0})
+    with pytest.raises(ValueError, match="integer"):
+        apply_permutation(q, perm)
+    assert apply_permutation(q, [1.0, 0.0]) == apply_permutation(q, (1, 0))
+
+
+@pytest.mark.parametrize("record", [[1], "x", 3, None])
+def test_non_object_key_record_rejected(record):
+    with pytest.raises(ValueError, match="JSON object"):
+        key2_from_dict(record)
+    rec = key2_to_dict(encrypt2(random_ising(np.random.default_rng(51), n=2), 1,
+                                np.random.default_rng(52))[1])
+    with pytest.raises(ValueError, match="JSON object"):
+        key2_from_dict({**rec, "key1": record})

@@ -207,3 +207,39 @@ class TestKeySerialization:
         _, key = encrypt3(generate("ba1", 5, rng), rng)
         with pytest.raises(ValueError, match="integer"):
             key3_from_dict({**key3_to_dict(key), "d_star": 2.5})
+
+
+class TestDegreeInputs:
+    @pytest.mark.parametrize("degrees", [(1.5, 2), ("1", 2), (True, 2), (-1, 2)])
+    def test_minimal_decoy_count_rejects_non_degrees(self, degrees):
+        with pytest.raises(ValueError, match="degree must be"):
+            minimal_decoy_count(degrees, 2)
+
+    @pytest.mark.parametrize("degrees", [("1", "2", "1"), (1, 2.5, 1), (1, 2, float("nan"))])
+    def test_regular_edge_set_rejects_non_degrees(self, degrees):
+        with pytest.raises(ValueError, match="degree must be"):
+            regular_edge_set(degrees, 2, 1)
+
+    @pytest.mark.parametrize("m", [True, "1", 1.5])
+    def test_regular_edge_set_rejects_non_integral_m(self, m):
+        with pytest.raises(ValueError, match="m must be"):
+            regular_edge_set((1, 2, 1), 2, m)
+
+    def test_integral_floats_accepted(self):
+        assert minimal_decoy_count((1.0, 2.0, 1.0), 2.0) == 1
+        assert regular_edge_set((1.0, 2.0, 1.0), 2.0, 1.0) == regular_edge_set((1, 2, 1), 2, 1)
+
+    def test_d_star_below_max_degree_message(self):
+        for call in (lambda: minimal_decoy_count((1, 2, 1), 1),
+                     lambda: regular_edge_set((1, 2, 1), 1, 1),
+                     lambda: encrypt3(P3, np.random.default_rng(0), d_star=1)):
+            with pytest.raises(ValueError, match="d_star=1 is below the maximum primary degree 2"):
+                call()
+
+    @pytest.mark.parametrize("degrees", [(2, 1, 2), (2, 1, 0)])
+    def test_odd_degree_sum_rejected(self, degrees):
+        # not a graph's degrees: the greedy placement used to stall on them
+        with pytest.raises(ValueError, match="even sum"):
+            minimal_decoy_count(degrees, 3)
+        with pytest.raises(ValueError, match="even sum"):
+            regular_edge_set(degrees, 3, 3)

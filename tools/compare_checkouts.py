@@ -32,13 +32,31 @@ manifests record input paths.  A run covers:
   the counts, or a field of a nested key), keeping per record whether
   it was accepted, with a hash of its canonical ``*_to_dict`` form, or
   the type of the exception that rejected it; these records come from
-  their own seeds too.
+  their own seeds too;
+* ``decrypt1``/``decrypt2`` on seeded keys of all three schemes
+  (``n + m`` up to 220) and distributions of up to 2000 outcomes drawn
+  around a few patterns with random decoy bits, so that many outcomes
+  collide once decoded, hashing each decoded ``distribution_to_dict``;
+* the strict records and functions (``RouletteWheel``,
+  ``DecoyPlacement``, ``QaoaParams``, ``apply_permutation``,
+  ``minimal_decoy_count``, ``regular_edge_set``) on seeded valid
+  inputs, and on each input with one of its real fields, permutation
+  entries or degrees (or the roulette mode) replaced by each value of
+  ``BAD_VALUES``, keeping a hash of the result or the exception type;
+  ``d_star`` and ``m`` are not replaced, since ``minimal_decoy_count``
+  searches up to ``d_star`` and ``regular_edge_set`` allocates ``m``
+  entries, so 10**400 would run without end or overflow.
+
+The last two sections draw from their own seeds too.
 
 The script prints one line per differing item and exits nonzero if
 anything differs, if a pipeline fails its output check, or if a
 pipeline leaves a ``*.tmp`` file in the work directory.  A parsed
-record may change in one way only: one that raised another exception
-may now raise ``ValueError``, the one error parsers report.
+record, or an input to a strict record or function, may change in one
+way only: it may now raise ``ValueError``, the one error they report,
+where it raised another exception or (inputs only) was accepted.  The
+script also fails if such an input raises anything but ``ValueError``
+at the new checkout.
 """
 
 from __future__ import annotations
@@ -64,6 +82,9 @@ CONFIGS = 16  # sampled configurations per evaluated model
 FILES = ("problem", "encrypted", "key", "dist", "decoded")
 PARSED_RECORDS = 20  # valid records per parser in the rejection section
 BAD_VALUES = ("1", True, None, 2.5, 2.0, -1, 0, math.nan, math.inf, 10**400, [])
+DECODES = 60  # keys whose decoding is hashed, one scheme in turn
+MAX_OUTCOMES = 2000  # outcomes per decoded distribution, at most
+RECORD_MODELS = 40  # models the strict-record inputs are drawn from
 
 
 def _digest(data: bytes) -> str:
@@ -248,6 +269,124 @@ def _parse_outcomes(count: int, seed: int) -> list:
     return out
 
 
+def _decode_outputs(count: int, seed: int) -> list:
+    import numpy as np
+
+    from isingcloak import KeyII, OutcomeDistribution, decrypt1, decrypt2, gen_key1, gen_permutation
+    from isingcloak.core import distribution_to_dict, dumps
+
+    out = []
+    for i in range(count):
+        rng = np.random.default_rng([seed, 9, i])
+        scheme = ("I", "II", "III")[i % 3]
+        n = int(rng.integers(1, 201))
+        m = 0 if scheme == "I" else int(rng.integers(0, 21))
+        key1 = gen_key1(n + m, rng)
+        key = key1
+        if scheme != "I":
+            d_star = int(rng.integers(0, 8)) if scheme == "III" else None
+            key = KeyII(n, m, gen_permutation(n + m, rng), key1, float(rng.normal()), d_star)
+        # rows repeat a few patterns with the decoy positions (under
+        # scheme I, all but the first three) drawn afresh, so many
+        # outcomes share their primary bits
+        patterns = rng.integers(0, 2, (int(rng.integers(1, 9)), n + m), dtype=np.uint8)
+        rows = patterns[rng.integers(len(patterns), size=int(rng.integers(1, MAX_OUTCOMES + 1)))]
+        free = list(key.perm[n:]) if scheme != "I" else list(range(min(3, n), n))
+        rows[:, free] = rng.integers(0, 2, (len(rows), len(free)), dtype=np.uint8)
+        weights = rng.random(len(rows))
+        weights[rng.random(len(rows)) < 0.05] = 0.0
+        bits = [row.tobytes().decode() for row in rows + ord("0")]
+        dist = OutcomeDistribution(n + m, dict(zip(bits, weights.tolist())))
+        decoded = decrypt1(dist, key) if scheme == "I" else decrypt2(dist, key)
+        out.append(_digest(dumps(distribution_to_dict(decoded)).encode()))
+    return out
+
+
+def _record_inputs(count: int, seed: int):
+    """``(name, args, paths)``: seeded valid inputs and the fields to replace in them.
+
+    A path is ``(k,)`` for argument k itself or ``(k, entry)`` for one
+    entry of it.
+    """
+    import numpy as np
+
+    from isingcloak import (
+        IsingModel,
+        build_roulette,
+        embed_decoys,
+        gen_permutation,
+        ising_to_qubo,
+        minimal_decoy_count,
+        problem_graph,
+        qubo_to_ising,
+    )
+
+    for i, model in enumerate(_random_models(count, [seed, 10], max_n=8)):
+        rng = np.random.default_rng([seed, 11, i])
+        ising = model if isinstance(model, IsingModel) else qubo_to_ising(model)
+        q = ising_to_qubo(ising)
+
+        def entry(values):
+            return list(values)[int(rng.integers(len(values)))]
+
+        if q.A:
+            mode = ("inverse", "preserve")[i % 2]
+            wheel = build_roulette(q.A.values(), bins=int(rng.integers(1, 6)), mode=mode)
+            edges, weights = list(wheel.bin_edges), list(wheel.sector_weights)
+            yield "wheel", [edges, weights, mode], [(0, entry(range(len(edges)))),
+                                                    (1, entry(range(len(weights)))), (2,)]
+            _, placement = embed_decoys(q, int(rng.integers(1, 4)), wheel, rng)
+            B, C = dict(placement.B_entries), dict(placement.C_entries)
+            yield "placement", [B, C], [(0, entry(B)), (1, entry(C))]
+        p = int(rng.integers(1, 4))
+        gammas, betas = rng.uniform(0.0, np.pi, (2, p)).tolist()
+        yield "params", [gammas, betas], [(0, entry(range(p))), (1, entry(range(p)))]
+        perm = list(gen_permutation(q.n, rng))
+        yield "permutation", [q, perm], [(1, entry(range(q.n)))]
+        degrees = list(problem_graph(ising).degrees)
+        d_star = max(degrees) + int(rng.integers(0, 3))
+        yield "decoy_count", [degrees, d_star], [(0, entry(range(q.n)))]
+        m = minimal_decoy_count(degrees, d_star)
+        yield "edge_set", [degrees, d_star, m], [(0, entry(range(q.n)))]
+
+
+def _record_outcomes(count: int, seed: int) -> list:
+    from isingcloak import (
+        DecoyPlacement,
+        QaoaParams,
+        RouletteWheel,
+        apply_permutation,
+        minimal_decoy_count,
+        regular_edge_set,
+    )
+
+    calls = {"wheel": RouletteWheel, "placement": DecoyPlacement, "params": QaoaParams,
+             "permutation": apply_permutation, "decoy_count": minimal_decoy_count,
+             "edge_set": regular_edge_set}
+
+    def outcome(name, args):
+        try:
+            result = calls[name](*args)
+        except Exception as exc:  # the exception type is the outcome
+            return type(exc).__name__
+        return "accepted " + _digest(repr(result).encode())
+
+    out = []
+    for name, args, paths in _record_inputs(count, seed):
+        out.append(outcome(name, args))
+        for path in paths:
+            for value in BAD_VALUES:
+                changed = list(args)
+                if len(path) == 1:
+                    changed[path[0]] = value
+                else:
+                    k, entry = path
+                    changed[k] = copy.copy(args[k])
+                    changed[k][entry] = value
+                out.append(outcome(name, changed))
+    return out
+
+
 def child(checkout: Path, workdir: Path, seed: int, models: int) -> None:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     import workloads
@@ -265,8 +404,11 @@ def child(checkout: Path, workdir: Path, seed: int, models: int) -> None:
     encrypts = _encrypt_outputs(ENCRYPTS, seed)
     evaluations = _evaluation_outputs(EVALUATED_MODELS, seed)
     parses = _parse_outcomes(PARSED_RECORDS, seed)
+    decodes = _decode_outputs(DECODES, seed)
+    records = _record_outcomes(RECORD_MODELS, seed)
     json.dump({"pipelines": outputs, "tables": tables, "encrypts": encrypts,
-               "evaluations": evaluations, "parses": parses}, sys.stdout)
+               "evaluations": evaluations, "parses": parses, "decodes": decodes,
+               "records": records}, sys.stdout)
 
 
 def main(argv=None) -> int:
@@ -312,6 +454,13 @@ def main(argv=None) -> int:
         if a != b and (a.startswith("accepted") or b != "ValueError")
     ]
     retyped = sum(a != b for a, b in zip(old["parses"], new["parses"])) - len(parses)
+    decodes = [i for i, (a, b) in enumerate(zip(old["decodes"], new["decodes"])) if a != b]
+    # an input may only move to ValueError, and may raise nothing else
+    records = [i for i, (a, b) in enumerate(zip(old["records"], new["records"]))
+               if a != b and b != "ValueError"]
+    other_errors = [i for i, b in enumerate(new["records"])
+                    if not b.startswith("accepted") and b != "ValueError"]
+    moved = [a for a, b in zip(old["records"], new["records"]) if a != b and b == "ValueError"]
     for k in diffs:
         print(f"pipeline {k} differs: {old['pipelines'][k]} != {new['pipelines'][k]}")
     for i in encrypts:
@@ -320,6 +469,12 @@ def main(argv=None) -> int:
         print(f"evaluation {i} differs: {old['evaluations'][i]} != {new['evaluations'][i]}")
     for i in parses:
         print(f"parsed record {i} differs: {old['parses'][i]} != {new['parses'][i]}")
+    for i in decodes:
+        print(f"decode {i} differs: {old['decodes'][i]} != {new['decodes'][i]}")
+    for i in records:
+        print(f"record input {i} differs: {old['records'][i]} != {new['records'][i]}")
+    for i in other_errors:
+        print(f"record input {i} raises {new['records'][i]}, not ValueError")
     for k in failed:
         print(f"pipeline {k} failed its output check")
     for checkout, k, names in leftover:
@@ -339,8 +494,17 @@ def main(argv=None) -> int:
         "parses_accepted": sum(a.startswith("accepted") for a in old["parses"]),
         "parses_differing": len(parses),
         "parses_now_value_error": retyped,
+        "decodes": len(old["decodes"]),
+        "decodes_differing": len(decodes),
+        "records": len(old["records"]),
+        "records_accepted": sum(b.startswith("accepted") for b in new["records"]),
+        "records_differing": len(records),
+        "records_newly_rejected": sum(a.startswith("accepted") for a in moved),
+        "records_now_value_error": sum(not a.startswith("accepted") for a in moved),
+        "records_other_error": len(other_errors),
     }))
-    return 1 if diffs or failed or leftover or tables or encrypts or evaluations or parses else 0
+    return 1 if (diffs or failed or leftover or tables or encrypts or evaluations or parses
+                 or decodes or records or other_errors) else 0
 
 
 if __name__ == "__main__":

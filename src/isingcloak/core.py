@@ -21,9 +21,10 @@ coefficients ``(i, j, v)`` in the one summation order (linear terms by
 ascending index as ``i == j``, then pair terms by ascending pair), and
 the class constant ``levels`` holds the value a variable takes at bit 0
 and at bit 1.  A term adds ``v * s_i`` (``i == j``) or ``v * s_i * s_j``,
-where ``s_i = levels[bit i]``; the offset comes last.  The scalar
-evaluators, the oracle's energy table and the graph view all read this
-one description, so their results agree bit for bit.
+where ``s_i = levels[bit i]``; the offset comes last.  The evaluators
+(on one configuration or a stack of them), the oracle's energy table and
+the graph view all read this one description, so their results agree bit
+for bit.
 """
 
 from __future__ import annotations
@@ -226,32 +227,39 @@ class OutcomeDistribution:
 Model = Union[IsingModel, QuboModel]
 
 
-def _energy(model: Model, values: Sequence) -> float:
+def _energy(model: Model, values: Sequence) -> float | np.ndarray:
     """Sum of ``model.terms()`` in order at the variable ``values``, then the offset.
 
-    ``values`` must hold ``model.n`` entries, each one of ``model.levels``.
+    ``values`` holds one configuration of ``model.n`` entries, or a stack
+    of them along the last axis; every entry must be one of
+    ``model.levels``.  One configuration gives a float.  A stack gives
+    an array of the stack's shape, computed by the same loop on column
+    vectors, so each entry is bit-identical to the call on its row.
     """
     values = np.asarray(values)
-    if values.shape != (model.n,):
+    if values.ndim == 0 or values.shape[-1] != model.n:
         raise ValueError(f"configuration length {values.shape} does not match n={model.n}")
     low, high = model.levels
     if not ((values == low) | (values == high)).all():
         kind = "spin" if isinstance(model, IsingModel) else "binary"
         raise ValueError(f"{kind} values must be {low:g} or {high:g}")
-    s = values.astype(np.float64).tolist()
-    e = 0.0
+    if values.ndim == 1:
+        s, e = values.astype(np.float64).tolist(), 0.0
+    else:  # s[i] is the contiguous column of variable i
+        s = np.moveaxis(values, -1, 0).astype(np.float64, order="C")
+        e = np.zeros(values.shape[:-1])
     for i, j, v in model.terms():
         e += v * s[i] if i == j else v * s[i] * s[j]
     return e + model.offset
 
 
-def eval_ising(model: IsingModel, z: Sequence[int]) -> float:
-    """Energy of a spin configuration under ``model``, summed in ``terms()`` order."""
+def eval_ising(model: IsingModel, z: Sequence[int]) -> float | np.ndarray:
+    """Energy of a spin configuration, or of a stack of them, summed in ``terms()`` order."""
     return _energy(model, z)
 
 
-def eval_qubo(model: QuboModel, x: Sequence[int]) -> float:
-    """Energy of a binary configuration under ``model``, summed in ``terms()`` order."""
+def eval_qubo(model: QuboModel, x: Sequence[int]) -> float | np.ndarray:
+    """Energy of a binary configuration, or of a stack of them, summed in ``terms()`` order."""
     return _energy(model, x)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import IsingModel, OutcomeDistribution, _real
 from .oracle import energy_table
-from .util import as_rng, index_to_bitstring
+from .util import as_rng, indices_to_bitstrings
 
 SIMULATOR_CAP = 16
 RESTARTS = 10  # random starts of the parameter search
@@ -201,8 +201,6 @@ def sample(state: np.ndarray, shots: int, rng=None) -> OutcomeDistribution:
     probs = np.abs(np.asarray(state)) ** 2
     probs = probs / probs.sum()
     counts = rng.multinomial(shots, probs)
-    weights = {
-        index_to_bitstring(int(k), n): counts[k] / shots
-        for k in np.flatnonzero(counts)
-    }
-    return OutcomeDistribution(n, weights)
+    drawn = np.flatnonzero(counts)
+    weights = (counts[drawn] / shots).tolist()
+    return OutcomeDistribution(n, dict(zip(indices_to_bitstrings(drawn, n), weights)))

@@ -11,6 +11,7 @@ from four arithmetic conditions on the degree deficiencies.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,15 +91,18 @@ def _deficiencies(degrees: Sequence[int], d_star: int):
 def minimal_decoy_count(degrees: Sequence[int], d_star: int) -> int:
     """Smallest feasible decoy count, by ascending linear search.
 
-    The search runs from 0 to n + d* + 1; exhausting that range without
-    a feasible m signals a conditions bug, not a user error.
+    The search runs from max(e_i), below which the conditions always
+    fail, to n + d* + 1; exhausting that range without a feasible m
+    signals a conditions bug, not a user error.
     """
     degrees, d_star, _, s, max_e = _deficiencies(degrees, d_star)
     n = len(degrees)
-    for m in range(n + d_star + 2):
+    for m in range(max_e, n + d_star + 2):
         if check_conditions(n, m, d_star, s, max_e):
             return m
-    raise RuntimeError(f"no feasible decoy count in [0, {n + d_star + 1}] for d_star={d_star}")
+    raise RuntimeError(
+        f"no feasible decoy count in [{max_e}, {n + d_star + 1}] for d_star={d_star}"
+    )
 
 
 def regular_edge_set(degrees: Sequence[int], d_star: int, m: int) -> RegularizationPlan:
@@ -116,6 +120,8 @@ def regular_edge_set(degrees: Sequence[int], d_star: int, m: int) -> Regularizat
     """
     degrees, d_star, deficiencies, s, max_e = _deficiencies(degrees, d_star)
     m = _integral(m, "m", least=0)
+    if m > sys.maxsize:
+        raise ValueError(f"m must be at most {sys.maxsize}, the largest list length")
     n = len(degrees)
     if not check_conditions(n, m, d_star, s, max_e):
         raise ValueError(f"m={m} fails the regularization conditions for d_star={d_star}")

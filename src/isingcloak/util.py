@@ -9,9 +9,10 @@ bit ``i`` of ``k``.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
+
 
 def as_rng(rng: np.random.Generator | int | None = None) -> np.random.Generator:
     """Coerce a seed or Generator into a numpy Generator."""
@@ -20,14 +21,31 @@ def as_rng(rng: np.random.Generator | int | None = None) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
+def indices_to_bitstrings(indices: Sequence[int], n: int) -> list:
+    """Bitstrings for enumeration indices (character i = bit i), in one numpy pass.
+
+    Indices must fit in int64.
+    """
+    k = np.asarray(indices, dtype=np.int64).reshape(-1, 1)
+    chars = ((k >> np.arange(n)) & 1).astype(np.uint8) + ord("0")
+    text = chars.tobytes().decode("ascii")
+    return [text[r * n : (r + 1) * n] for r in range(len(k))]
+
+
 def index_to_bitstring(index: int, n: int) -> str:
     """Bitstring for enumeration index ``index`` (character i = bit i)."""
-    return "".join("1" if (index >> i) & 1 else "0" for i in range(n))
+    return indices_to_bitstrings([index], n)[0]
+
+
+def bitstrings_to_array(bits: Sequence[str], n: int) -> np.ndarray:
+    """Bitstrings of length ``n`` to an (N, n) 0/1 uint8 matrix (row r = ``bits[r]``)."""
+    text = "".join(bits).encode("ascii")
+    return (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(len(bits), n)
 
 
 def bitstring_to_array(bits: str) -> np.ndarray:
     """Bitstring to a 0/1 integer array (entry i = variable i)."""
-    return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
+    return bitstrings_to_array([bits], len(bits))[0]
 
 
 def flip_positions(bits: str, positions: Iterable[int]) -> str:

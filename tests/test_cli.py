@@ -325,3 +325,16 @@ def test_non_object_key_file_is_a_one_line_error(tmp_path, capsys, record):
         payload = json.loads(err)
         assert payload["type"] == "ValueError" and "JSON object" in payload["error"]
     assert not out.exists()
+
+
+def test_encrypt3_huge_d_star_is_a_one_line_error(tmp_path, capsys):
+    p, e, k = tmp_path / "p.json", tmp_path / "e.json", tmp_path / "k.json"
+    p.write_text(json.dumps({"n": 3, "h": [0.0, 0.0, 0.0], "J": [[0, 1, 1.0], [1, 2, -1.0]],
+                             "offset": 0.0}))
+    assert run("encrypt", "--problem", p, "--scheme", "III", "--d-star", 10**400, "--seed", 1,
+               "--out", e, "--key-out", k) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["type"] == "ValueError" and "at most" in payload["error"]
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["p.json"]

@@ -57,6 +57,44 @@ class TestEvalIsing:
             eval_qubo(ising_to_qubo(m), [0.5, 1])
 
 
+class TestStackedEvaluation:
+    def test_one_configuration_gives_a_float(self):
+        m = IsingModel(2, (1.0, -1.0), {(0, 1): 2.0}, offset=3.0)
+        assert type(eval_ising(m, [1, 1])) is float
+        assert type(eval_qubo(ising_to_qubo(m), np.array([1, 0]))) is float
+
+    def test_stack_gives_the_stack_shape(self):
+        m = IsingModel(2, (1.0, -1.0), {(0, 1): 2.0}, offset=3.0)
+        z = np.array([[[1, 1], [1, -1], [-1, 1]], [[-1, -1], [1, 1], [1, 1]]])
+        e = eval_ising(m, z)
+        assert e.shape == (2, 3)
+        assert e.tolist() == [[eval_ising(m, row) for row in block] for block in z]
+
+    def test_model_without_terms_gives_the_stack_shape(self):
+        e = eval_qubo(QuboModel(3, {}, offset=1.5), np.zeros((4, 3)))
+        assert e.shape == (4,) and e.tolist() == [1.5] * 4
+        assert eval_ising(IsingModel(3, (0.0,) * 3, {}), [1, -1, 1]) == 0.0
+
+    def test_wrong_last_axis_rejected(self):
+        m = IsingModel(2, (0.0, 0.0), {(0, 1): 1.0})
+        for z in (np.ones((4, 3)), np.ones((2, 1)), np.ones((2, 0)), 1):
+            with pytest.raises(ValueError, match="length"):
+                eval_ising(m, z)
+        with pytest.raises(ValueError, match="length"):
+            eval_qubo(ising_to_qubo(m), np.zeros((3, 1)))
+
+    def test_bad_level_in_one_row_rejected(self):
+        m = IsingModel(2, (0.0, 0.0), {(0, 1): 1.0})
+        z = np.ones((5, 2))
+        z[3, 1] = 0.0
+        with pytest.raises(ValueError, match="spin"):
+            eval_ising(m, z)
+        x = np.zeros((5, 2))
+        x[4, 0] = -1.0
+        with pytest.raises(ValueError, match="binary"):
+            eval_qubo(ising_to_qubo(m), x)
+
+
 class TestEvalQubo:
     def test_direct(self):
         m = QuboModel(2, {(0, 0): 2.0, (0, 1): -3.0, (1, 1): 1.0})

@@ -14,11 +14,14 @@ from isingcloak import (
     brute_force,
     encrypt1,
     energy_table,
+    eval_ising,
+    eval_qubo,
     gen_key1,
     generate,
     ising_to_qubo,
     rar,
 )
+from isingcloak.util import bitstring_to_array
 
 SINGLE_EDGE = IsingModel(2, (0.0, 0.0), {(0, 1): 1.0})
 
@@ -183,3 +186,49 @@ class TestRar:
             ).normalized()
             assert ar(d, m, rep.global_min) <= 1.0
             assert rar(d, m, rep.global_min, k=5) <= 1.0
+
+
+def _reference_top_k(dist, model, global_min, k):
+    """``rar`` as ranked by ``sorted((-w, e, bitstring))``, one evaluator call per outcome."""
+
+    def energy(bits):
+        x = bitstring_to_array(bits)
+        if isinstance(model, IsingModel):
+            return eval_ising(model, 2 * x.astype(np.int64) - 1)
+        return eval_qubo(model, x)
+
+    ranked = sorted(
+        ((w, energy(b), b) for b, w in dist.weights.items()),
+        key=lambda t: (-t[0], t[1], t[2]),
+    )
+    num = 0.0
+    den = 0.0
+    for w, e, _ in ranked[:k]:
+        num += w * e
+        den += w
+    return num / den / global_min
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_metrics_match_the_per_outcome_ranking_under_ties(seed):
+    # +-1 couplings give few distinct energies, and counts of 0-3 few
+    # distinct weights, so most ranks are decided by energy or bitstring
+    rng = np.random.default_rng(seed)
+    n = 8
+    ising = generate("regular3", n, rng)
+    for model in (ising, ising_to_qubo(ising)):
+        picked = rng.choice(1 << n, size=int(rng.integers(1, 1 << n)), replace=False)
+        counts = rng.integers(0, 4, picked.size).astype(float)
+        counts[0] = 1.0
+        keys = [format(int(k), f"0{n}b")[::-1] for k in picked]
+        dist = OutcomeDistribution(n, dict(zip(keys, (counts / counts.sum()).tolist())))
+        gmin = brute_force(model).global_min
+        size = len(dist.weights)
+        assert _bits(ar(dist, model, gmin)) == _bits(_reference_top_k(dist, model, gmin, size))
+        for k in sorted({1, 2, 5, size // 2 or 1, size, size + 3}):
+            expected = _reference_top_k(dist, model, gmin, k)
+            assert _bits(rar(dist, model, gmin, k=k)) == _bits(expected)

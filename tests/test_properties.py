@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isingcloak import (
@@ -135,6 +135,23 @@ def test_tiled_table_matches_scalar_evaluators_on_sampled_indices(model, seed):
 @given(models(TILE_BITS + 1, 16))
 def test_tiled_table_matches_untiled_reference(model):
     assert energy_table(model).tobytes() == _reference_table(model).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(models(max_n=16), st.integers(1, 64), st.integers(0, 2**32 - 1))
+@example(IsingModel(3, (0.0,) * 3, {}, 5.0), 1, 0)
+@example(QuboModel(2, {}, -1e10), 3, 1)
+def test_stacked_evaluators_match_row_by_row_calls_bitwise(model, rows, seed):
+    bits = np.random.default_rng(seed).integers(0, 2, (rows, model.n))
+    if isinstance(model, IsingModel):
+        evaluate, stack = eval_ising, 2 * bits - 1
+    else:
+        evaluate, stack = eval_qubo, bits
+    stacked = evaluate(model, stack)
+    rowwise = np.array([evaluate(model, row) for row in stack])
+    assert stacked.shape == (rows,)
+    assert stacked.tobytes() == rowwise.tobytes()
+    assert evaluate(model, stack[:1]).tobytes() == rowwise[:1].tobytes()
 
 
 @st.composite

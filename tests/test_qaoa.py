@@ -17,6 +17,7 @@ from isingcloak import (
     sample,
     simulate,
 )
+from isingcloak.util import index_to_bitstring
 
 SINGLE_EDGE = IsingModel(2, (0.0, 0.0), {(0, 1): 1.0})
 
@@ -141,6 +142,20 @@ class TestSample:
         state[2] = 1.0  # bitstring "01"
         dist = sample(state, 500, np.random.default_rng(5))
         assert dist.weights == {"01": 1.0}
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_keys_and_weights_match_the_index_construction(self, n):
+        rng = np.random.default_rng(n)
+        state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        shots = 5000
+        dist = sample(state, shots, np.random.default_rng([n, 1]))
+        probs = np.abs(state) ** 2
+        counts = np.random.default_rng([n, 1]).multinomial(shots, probs / probs.sum())
+        drawn = np.flatnonzero(counts)
+        expected = {index_to_bitstring(int(k), n): counts[k] / shots for k in drawn}
+        assert list(dist.weights) == sorted(expected)
+        assert list(dist.weights.values()) == [expected[b] for b in sorted(expected)]
+        assert all(index_to_bitstring(int(k), n) == format(k, f"0{n}b")[::-1] for k in drawn)
 
     def test_shots_validated(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from isingcloak import (
     problem_graph,
     regular_edge_set,
 )
+from isingcloak import scheme3
 from isingcloak.scheme2 import KeyII, invert_permutation, key2_from_dict, key2_to_dict
 from isingcloak.scheme3 import key3_from_dict, key3_to_dict
 
@@ -243,3 +244,18 @@ class TestDegreeInputs:
             minimal_decoy_count(degrees, 3)
         with pytest.raises(ValueError, match="even sum"):
             regular_edge_set(degrees, 3, 3)
+
+
+def test_decoy_search_starts_at_the_largest_deficiency(monkeypatch):
+    # every m below max(e_i) = 999 fails the conditions, so none is tried
+    calls = []
+    check = scheme3.check_conditions
+    monkeypatch.setattr(scheme3, "check_conditions",
+                        lambda *args: calls.append(args) or check(*args))
+    assert minimal_decoy_count((1, 2, 1), 1000) == 999
+    assert len(calls) == 1
+
+
+def test_regular_edge_set_rejects_a_count_beyond_list_lengths():
+    with pytest.raises(ValueError, match="at most"):
+        regular_edge_set((1, 2, 1), 2, 10**400)

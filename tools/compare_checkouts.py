@@ -47,7 +47,15 @@ manifests record input paths.  A run covers:
   searches up to ``d_star`` and ``regular_edge_set`` allocates ``m``
   entries, so 10**400 would run without end or overflow.
 
-The last two sections draw from their own seeds too.
+* ``ar`` and ``rar`` (k = 1, 5 and the support size) on seeded random
+  Ising and QUBO models with n <= 16, every other one with its
+  coefficients replaced by +-1 times one scale so that many energies
+  tie, under distributions whose weights are counts of 0 to 3, so that
+  many weights tie, hashing each model's results (a value, or the type
+  of the exception that rejected the call); and ``sample`` on seeded
+  random states with 1 <= n <= 16, hashing each ``distribution_to_dict``.
+
+The last three sections draw from their own seeds too.
 
 The script prints one line per differing item and exits nonzero if
 anything differs, if a pipeline fails its output check, or if a
@@ -85,6 +93,9 @@ BAD_VALUES = ("1", True, None, 2.5, 2.0, -1, 0, math.nan, math.inf, 10**400, [])
 DECODES = 60  # keys whose decoding is hashed, one scheme in turn
 MAX_OUTCOMES = 2000  # outcomes per decoded distribution, at most
 RECORD_MODELS = 40  # models the strict-record inputs are drawn from
+METRIC_MODELS = 120  # models whose ar/rar results are hashed
+MAX_METRIC_OUTCOMES = 3000  # outcomes per ranked distribution, at most
+SAMPLED_STATES = 48  # states whose sample is hashed
 
 
 def _digest(data: bytes) -> str:
@@ -387,6 +398,56 @@ def _record_outcomes(count: int, seed: int) -> list:
     return out
 
 
+def _tied(model, scale: float):
+    """``model`` with every coefficient replaced by +-``scale``, keeping signs and offset."""
+    from isingcloak import IsingModel, QuboModel
+
+    def signed(pairs):
+        return {key: math.copysign(scale, v) for key, v in pairs.items()}
+
+    if isinstance(model, IsingModel):
+        h = tuple(math.copysign(scale, v) if v else 0.0 for v in model.h)
+        return IsingModel(model.n, h, signed(model.J), model.offset)
+    return QuboModel(model.n, signed(model.A), model.offset)
+
+
+def _metric_outputs(count: int, states: int, seed: int) -> list:
+    import numpy as np
+
+    from isingcloak import OutcomeDistribution, ar, brute_force, rar, sample
+    from isingcloak.core import distribution_to_dict, dumps
+
+    def outcome(call, *args, **kwargs):
+        try:
+            return call(*args, **kwargs).hex()
+        except Exception as exc:  # the exception type is the outcome
+            return type(exc).__name__
+
+    out = []
+    for i, model in enumerate(_random_models(count, [seed, 12], max_n=16)):
+        rng = np.random.default_rng([seed, 13, i])
+        n = model.n
+        if i % 2:
+            model = _tied(model, float(10.0 ** rng.integers(-12, 13)))
+        size = int(rng.integers(1, min(1 << n, MAX_METRIC_OUTCOMES) + 1))
+        picked = rng.choice(1 << n, size=size, replace=False)
+        counts = rng.integers(0, 4, size).astype(float)
+        counts[int(rng.integers(size))] += 1.0
+        keys = [format(int(k), f"0{n}b")[::-1] for k in picked]
+        dist = OutcomeDistribution(n, dict(zip(keys, (counts / counts.sum()).tolist())))
+        gmin = brute_force(model).global_min
+        results = [outcome(ar, dist, model, gmin)]
+        results += [outcome(rar, dist, model, gmin, k=k) for k in (1, 5, size)]
+        out.append(_digest(json.dumps(results).encode()))
+    for i in range(states):
+        rng = np.random.default_rng([seed, 14, i])
+        n = i % 16 + 1
+        state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        dist = sample(state, int(rng.integers(1, 100_001)), rng)
+        out.append(_digest(dumps(distribution_to_dict(dist)).encode()))
+    return out
+
+
 def child(checkout: Path, workdir: Path, seed: int, models: int) -> None:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     import workloads
@@ -406,9 +467,10 @@ def child(checkout: Path, workdir: Path, seed: int, models: int) -> None:
     parses = _parse_outcomes(PARSED_RECORDS, seed)
     decodes = _decode_outputs(DECODES, seed)
     records = _record_outcomes(RECORD_MODELS, seed)
+    metrics = _metric_outputs(METRIC_MODELS, SAMPLED_STATES, seed)
     json.dump({"pipelines": outputs, "tables": tables, "encrypts": encrypts,
                "evaluations": evaluations, "parses": parses, "decodes": decodes,
-               "records": records}, sys.stdout)
+               "records": records, "metrics": metrics}, sys.stdout)
 
 
 def main(argv=None) -> int:
@@ -461,6 +523,7 @@ def main(argv=None) -> int:
     other_errors = [i for i, b in enumerate(new["records"])
                     if not b.startswith("accepted") and b != "ValueError"]
     moved = [a for a, b in zip(old["records"], new["records"]) if a != b and b == "ValueError"]
+    metrics = [i for i, (a, b) in enumerate(zip(old["metrics"], new["metrics"])) if a != b]
     for k in diffs:
         print(f"pipeline {k} differs: {old['pipelines'][k]} != {new['pipelines'][k]}")
     for i in encrypts:
@@ -475,6 +538,8 @@ def main(argv=None) -> int:
         print(f"record input {i} differs: {old['records'][i]} != {new['records'][i]}")
     for i in other_errors:
         print(f"record input {i} raises {new['records'][i]}, not ValueError")
+    for i in metrics:
+        print(f"metric item {i} differs: {old['metrics'][i]} != {new['metrics'][i]}")
     for k in failed:
         print(f"pipeline {k} failed its output check")
     for checkout, k, names in leftover:
@@ -502,9 +567,11 @@ def main(argv=None) -> int:
         "records_newly_rejected": sum(a.startswith("accepted") for a in moved),
         "records_now_value_error": sum(not a.startswith("accepted") for a in moved),
         "records_other_error": len(other_errors),
+        "metrics": len(old["metrics"]),
+        "metrics_differing": len(metrics),
     }))
     return 1 if (diffs or failed or leftover or tables or encrypts or evaluations or parses
-                 or decodes or records or other_errors) else 0
+                 or decodes or records or other_errors or metrics) else 0
 
 
 if __name__ == "__main__":

@@ -161,7 +161,7 @@ def build_roulette(coeffs: Sequence[float], bins: int = 10, mode: str = "inverse
     counts, edges = np.histogram(mags, bins=bins, range=(lo, hi))
     p = counts / counts.sum()
     if mode == "inverse":
-        weights = np.where(p > 0.0, np.divide(1.0, p, out=np.zeros_like(p), where=p > 0.0), 0.0)
+        weights = np.divide(1.0, p, out=np.zeros_like(p), where=p > 0.0)
     else:  # RouletteWheel rejects any mode but "preserve"
         weights = p
     return RouletteWheel(tuple(edges), tuple(weights), mode)

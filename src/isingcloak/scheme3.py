@@ -127,49 +127,42 @@ def regular_edge_set(degrees: Sequence[int], d_star: int, m: int) -> Regularizat
         raise ValueError(f"m={m} fails the regularization conditions for d_star={d_star}")
 
     decoy_need = [d_star] * m
-    edges = set()
+    edges = []
 
-    # phase 1: satisfy each primary deficiency in full against the
-    # decoys with the most remaining capacity.  Batching per primary
-    # keeps the decoy capacities within one of each other, which
-    # guarantees the leftover decoy deficiencies form a graphical
-    # sequence for phase 2
+    # phase 1: primaries by descending deficiency (ties to the lowest
+    # index) each take their links from one cyclic pointer over the
+    # decoys.  After t links every decoy has lost t // m or t // m + 1,
+    # so "the decoys with the most remaining capacity, ties to the
+    # lowest index" is always the pointer's rotation; m*d* >= s keeps
+    # every capacity nonnegative and m >= max(e_i) keeps a primary from
+    # meeting a decoy twice.  The balanced loads make the leftover decoy
+    # deficiencies a graphical sequence for phase 2
+    dj = 0
     for pi in sorted(range(n), key=lambda i: (-deficiencies[i], i)):
-        need = deficiencies[pi]
-        if need == 0:
-            continue
-        ranked = sorted(
-            (dj for dj in range(m) if decoy_need[dj] > 0),
-            key=lambda dj: (-decoy_need[dj], dj),
-        )
-        if len(ranked) < need:
-            raise RuntimeError("decoy placement stalled with unmet primary deficiencies")
-        for dj in ranked[:need]:
-            edges.add((pi, n + dj))
+        for _ in range(deficiencies[pi]):
+            edges.append((pi, n + dj))
             decoy_need[dj] -= 1
+            dj = (dj + 1) % m
 
-    # phase 2: decoy-decoy links until every decoy reaches d*.  The
-    # highest-deficiency decoy is satisfied in full against the
-    # next-highest-deficiency non-adjacent decoys (Havel-Hakimi order),
-    # which completes whenever the remaining sequence is graphical;
-    # pairing one edge at a time between the top two can wedge itself
-    # even on feasible inputs
-    while any(e > 0 for e in decoy_need):
-        u = max((dj for dj in range(m) if decoy_need[dj] > 0), key=lambda dj: (decoy_need[dj], -dj))
-        partners = sorted(
-            (
-                v
-                for v in range(m)
-                if v != u and decoy_need[v] > 0 and (n + min(u, v), n + max(u, v)) not in edges
-            ),
-            key=lambda v: (-decoy_need[v], v),
-        )
+    # phase 2: Havel-Hakimi over the decoys still short of d*: the first
+    # by (-need, index) links to the next need[u] of them, then leaves.
+    # Every decoy-decoy edge has an endpoint that has left, so two live
+    # decoys are never adjacent.  Pairing one edge at a time between the
+    # top two can wedge itself even on feasible inputs
+    def rank(decoys):
+        return sorted((dj for dj in decoys if decoy_need[dj] > 0), key=lambda dj: (-decoy_need[dj], dj))
+
+    live = rank(range(m))
+    while live:
+        u, rest = live[0], live[1:]
+        partners = rest[: decoy_need[u]]
         if len(partners) < decoy_need[u]:
             raise RuntimeError("decoy placement stalled with unmet decoy deficiencies")
-        for v in partners[: decoy_need[u]]:
-            edges.add((n + min(u, v), n + max(u, v)))
+        for v in partners:
+            edges.append((n + min(u, v), n + max(u, v)))
             decoy_need[v] -= 1
         decoy_need[u] = 0
+        live = rank(rest)
 
     final = list(degrees) + [0] * m
     for u, v in edges:

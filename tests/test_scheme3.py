@@ -107,6 +107,73 @@ class TestRegularEdgeSet:
             regular_edge_set((1, 2, 1), 2, 0)
 
 
+def _reference_edge_set(degrees, d_star, m):
+    """The two-phase greedy as first written: a per-primary sort and an adjacency test."""
+    deficiencies = [d_star - d for d in degrees]
+    n, s = len(degrees), sum(deficiencies)
+    if not check_conditions(n, m, d_star, s, max(deficiencies)):
+        raise ValueError(f"m={m} fails the regularization conditions for d_star={d_star}")
+    decoy_need = [d_star] * m
+    edges = set()
+    for pi in sorted(range(n), key=lambda i: (-deficiencies[i], i)):
+        need = deficiencies[pi]
+        if need == 0:
+            continue
+        ranked = sorted(
+            (dj for dj in range(m) if decoy_need[dj] > 0),
+            key=lambda dj: (-decoy_need[dj], dj),
+        )
+        assert len(ranked) >= need
+        for dj in ranked[:need]:
+            edges.add((pi, n + dj))
+            decoy_need[dj] -= 1
+    while any(e > 0 for e in decoy_need):
+        u = max((dj for dj in range(m) if decoy_need[dj] > 0), key=lambda dj: (decoy_need[dj], -dj))
+        partners = sorted(
+            (
+                v
+                for v in range(m)
+                if v != u and decoy_need[v] > 0 and (n + min(u, v), n + max(u, v)) not in edges
+            ),
+            key=lambda v: (-decoy_need[v], v),
+        )
+        assert len(partners) >= decoy_need[u]
+        for v in partners[: decoy_need[u]]:
+            edges.add((n + min(u, v), n + max(u, v)))
+            decoy_need[v] -= 1
+        decoy_need[u] = 0
+    return tuple(sorted(edges))
+
+
+class TestRegularEdgeSetMatchesReference:
+    def _assert_same(self, degrees, d_star, m):
+        try:
+            expected = _reference_edge_set(degrees, d_star, m)
+        except ValueError:
+            with pytest.raises(ValueError, match="fails the regularization conditions"):
+                regular_edge_set(degrees, d_star, m)
+            return False
+        assert regular_edge_set(degrees, d_star, m).decoy_edges == expected
+        return True
+
+    def test_random_graphs_every_d_star_and_count(self):
+        rng = np.random.default_rng(59)
+        placed = 0
+        for _ in range(120):
+            n = int(rng.integers(1, 13))
+            adjacency = np.triu(rng.random((n, n)) < rng.random(), 1)
+            degrees = (adjacency.sum(0) + adjacency.sum(1)).tolist()
+            for d_star in range(max(degrees), max(degrees) + 7):
+                minimal = minimal_decoy_count(degrees, d_star)
+                for m in range(minimal, minimal + 4):
+                    placed += self._assert_same(degrees, d_star, m)
+        assert placed > 1000
+
+    @pytest.mark.parametrize("d_star", [50, 100])
+    def test_path_at_large_d_star(self, d_star):
+        assert self._assert_same((1, 2, 1), d_star, minimal_decoy_count((1, 2, 1), d_star))
+
+
 class TestEncrypt3:
     def test_output_graph_is_regular(self):
         rng = np.random.default_rng(52)

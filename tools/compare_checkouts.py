@@ -55,7 +55,12 @@ manifests record input paths.  A run covers:
   of the exception that rejected the call); and ``sample`` on seeded
   random states with 1 <= n <= 16, hashing each ``distribution_to_dict``.
 
-The last three sections draw from their own seeds too.
+* ``regular_edge_set`` on the degree sequences of seeded random graphs
+  (n <= 30) with ``d_star`` from the maximum degree to 10 above it and
+  ``m`` from ``minimal_decoy_count`` to 3 above it, hashing the
+  ``repr`` of each plan or keeping the type of the exception.
+
+The last four sections draw from their own seeds too.
 
 The script prints one line per differing item and exits nonzero if
 anything differs, if a pipeline fails its output check, or if a
@@ -96,6 +101,7 @@ RECORD_MODELS = 40  # models the strict-record inputs are drawn from
 METRIC_MODELS = 120  # models whose ar/rar results are hashed
 MAX_METRIC_OUTCOMES = 3000  # outcomes per ranked distribution, at most
 SAMPLED_STATES = 48  # states whose sample is hashed
+PLACEMENTS = 300  # decoy-edge plans hashed
 
 
 def _digest(data: bytes) -> str:
@@ -448,6 +454,28 @@ def _metric_outputs(count: int, states: int, seed: int) -> list:
     return out
 
 
+def _placement_outputs(count: int, seed: int) -> list:
+    import numpy as np
+
+    from isingcloak import minimal_decoy_count, regular_edge_set
+
+    out = []
+    for i in range(count):
+        rng = np.random.default_rng([seed, 15, i])
+        n = int(rng.integers(1, 31))
+        adjacency = np.triu(rng.random((n, n)) < rng.random(), 1)
+        degrees = (adjacency.sum(0) + adjacency.sum(1)).tolist()
+        d_star = max(degrees) + int(rng.integers(0, 11))
+        m = minimal_decoy_count(degrees, d_star) + int(rng.integers(0, 4))
+        try:
+            plan = regular_edge_set(degrees, d_star, m)
+        except Exception as exc:  # the exception type is the outcome
+            out.append(type(exc).__name__)
+        else:
+            out.append("accepted " + _digest(repr(plan).encode()))
+    return out
+
+
 def child(checkout: Path, workdir: Path, seed: int, models: int) -> None:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     import workloads
@@ -468,9 +496,10 @@ def child(checkout: Path, workdir: Path, seed: int, models: int) -> None:
     decodes = _decode_outputs(DECODES, seed)
     records = _record_outcomes(RECORD_MODELS, seed)
     metrics = _metric_outputs(METRIC_MODELS, SAMPLED_STATES, seed)
+    placements = _placement_outputs(PLACEMENTS, seed)
     json.dump({"pipelines": outputs, "tables": tables, "encrypts": encrypts,
                "evaluations": evaluations, "parses": parses, "decodes": decodes,
-               "records": records, "metrics": metrics}, sys.stdout)
+               "records": records, "metrics": metrics, "placements": placements}, sys.stdout)
 
 
 def main(argv=None) -> int:
@@ -524,6 +553,9 @@ def main(argv=None) -> int:
                     if not b.startswith("accepted") and b != "ValueError"]
     moved = [a for a, b in zip(old["records"], new["records"]) if a != b and b == "ValueError"]
     metrics = [i for i, (a, b) in enumerate(zip(old["metrics"], new["metrics"])) if a != b]
+    placements = [
+        i for i, (a, b) in enumerate(zip(old["placements"], new["placements"])) if a != b
+    ]
     for k in diffs:
         print(f"pipeline {k} differs: {old['pipelines'][k]} != {new['pipelines'][k]}")
     for i in encrypts:
@@ -540,6 +572,8 @@ def main(argv=None) -> int:
         print(f"record input {i} raises {new['records'][i]}, not ValueError")
     for i in metrics:
         print(f"metric item {i} differs: {old['metrics'][i]} != {new['metrics'][i]}")
+    for i in placements:
+        print(f"placement {i} differs: {old['placements'][i]} != {new['placements'][i]}")
     for k in failed:
         print(f"pipeline {k} failed its output check")
     for checkout, k, names in leftover:
@@ -569,9 +603,12 @@ def main(argv=None) -> int:
         "records_other_error": len(other_errors),
         "metrics": len(old["metrics"]),
         "metrics_differing": len(metrics),
+        "placements": len(old["placements"]),
+        "placements_accepted": sum(b.startswith("accepted") for b in new["placements"]),
+        "placements_differing": len(placements),
     }))
     return 1 if (diffs or failed or leftover or tables or encrypts or evaluations or parses
-                 or decodes or records or other_errors or metrics) else 0
+                 or decodes or records or other_errors or metrics or placements) else 0
 
 
 if __name__ == "__main__":

@@ -111,6 +111,10 @@ def cmd_gen(args) -> int:
 def cmd_encrypt(args) -> int:
     if os.path.abspath(args.out) == os.path.abspath(args.key_out):
         raise ValueError("--out and --key-out must name different files")
+    if args.tau is not None and args.scheme != "I":
+        raise ValueError("--tau applies to scheme I only")
+    if args.d_star is not None and args.scheme != "III":
+        raise ValueError("--d-star applies to scheme III only")
     digests = {}
     model = ising_from_dict(_read_json(args.problem, digests))
     rng = as_rng(args.seed)
@@ -184,6 +188,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    if (args.problem is None) != (args.dist is None):
+        raise ValueError("--problem and --dist must be given together")
     key = _load_key(args.key)
     if isinstance(key, KeyI):
         scheme, m = "I", 0
@@ -192,7 +198,7 @@ def cmd_stats(args) -> int:
         scheme, m = ("II" if key.d_star is None else "III"), key.m
         complexity = attack_complexity2(key.n, key.m)
     payload = {"scheme": scheme, "n": key.n, "m": m, "attack_complexity_log2": complexity}
-    if args.problem and args.dist:
+    if args.problem is not None:
         model = ising_from_dict(_read_json(args.problem))
         dist = distribution_from_dict(_read_json(args.dist))
         gmin = brute_force(model).global_min
@@ -277,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="attack complexity and solution-quality metrics")
     p.add_argument("--key", required=True)
-    p.add_argument("--problem", default=None)
+    p.add_argument("--problem", default=None, help="original problem (with --dist: AR/RAR)")
     p.add_argument("--dist", default=None, help="decoded (primary-space) distribution")
     p.add_argument("--k", type=int, default=5)
     p.set_defaults(func=cmd_stats)

@@ -145,6 +145,8 @@ def argmin_distribution(report: SpectrumReport) -> OutcomeDistribution:
 
 def _top_k_expectation(dist: OutcomeDistribution, model: Model, global_min: float, k: int):
     """Expected energy over the k top-ranked outcomes, divided by ``global_min``."""
+    if dist.n != model.n:
+        raise ValueError(f"distribution has n={dist.n}, model has n={model.n}")
     if global_min == 0.0:
         raise ValueError("approximation ratio is undefined for a zero global minimum")
     if not dist.is_normalized:

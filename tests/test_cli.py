@@ -338,3 +338,53 @@ def test_encrypt3_huge_d_star_is_a_one_line_error(tmp_path, capsys):
     payload = json.loads(err)
     assert payload["type"] == "ValueError" and "at most" in payload["error"]
     assert sorted(x.name for x in tmp_path.iterdir()) == ["p.json"]
+
+
+@pytest.mark.parametrize("given", ["--problem", "--dist"])
+def test_stats_needs_problem_and_dist_together(tmp_path, capsys, given):
+    p, e, k = tmp_path / "p.json", tmp_path / "e.json", tmp_path / "k.json"
+    run("gen", "--family", "sk", "--n", 3, "--seed", 1, "--out", p)
+    run("encrypt", "--problem", p, "--scheme", "I", "--seed", 2, "--out", e, "--key-out", k)
+    capsys.readouterr()
+    d = tmp_path / "d.json"
+    d.write_text(json.dumps({"n": 3, "counts": {"011": 1.0}}))
+    assert run("stats", "--key", k, given, p if given == "--problem" else d) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["type"] == "ValueError" and "together" in payload["error"]
+
+
+@pytest.mark.parametrize(
+    "scheme_args,option",
+    [
+        (("--scheme", "II", "--m", 2, "--tau", 3), "--tau"),
+        (("--scheme", "III", "--tau", 3), "--tau"),
+        (("--scheme", "I", "--d-star", 7), "--d-star"),
+        (("--scheme", "II", "--d-star", 7), "--d-star"),
+    ],
+)
+def test_encrypt_rejects_options_of_other_schemes(tmp_path, capsys, scheme_args, option):
+    p, e, k = tmp_path / "p.json", tmp_path / "e.json", tmp_path / "k.json"
+    run("gen", "--family", "sk", "--n", 4, "--seed", 1, "--out", p)
+    capsys.readouterr()
+    assert run("encrypt", "--problem", p, "--seed", 1, "--out", e, "--key-out", k,
+               *scheme_args) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["type"] == "ValueError" and payload["error"].startswith(option)
+    assert not e.exists() and not k.exists()
+
+
+def test_stats_on_an_encrypted_space_distribution_names_both_lengths(tmp_path, capsys):
+    p, e, k, d = (tmp_path / x for x in ("p.json", "e.json", "k.json", "d.json"))
+    run("gen", "--family", "ba2", "--n", 8, "--seed", 3, "--out", p)
+    run("encrypt", "--problem", p, "--scheme", "II", "--m", 2, "--seed", 4,
+        "--out", e, "--key-out", k)
+    run("solve", "--problem", e, "--method", "brute", "--out", d)
+    capsys.readouterr()
+    # d is the undecoded distribution over the 10 encrypted variables
+    assert run("stats", "--key", k, "--problem", p, "--dist", d) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload == {"type": "ValueError", "error": "distribution has n=10, model has n=8"}

@@ -1,0 +1,136 @@
+"""The comparison rules of tools/compare_checkouts.py, on small synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "compare_checkouts", Path(__file__).resolve().parents[1] / "tools" / "compare_checkouts.py"
+)
+tool = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tool)
+
+CHECKOUTS = ("OLD", "NEW")
+PIPELINE = {"ok": True, "stdout": {}, "tmp": []}
+PLAIN = [(key, label) for key, label, _, change, _ in tool.SECTIONS if change is None]
+
+
+def _run(pipelines=None, **sections):
+    """A child run: one clean pipeline and two items per section, unless given."""
+    run = {"pipelines": pipelines or {"exact-verify[0]": PIPELINE}}
+    for key, *_ in tool.SECTIONS:
+        run[key] = sections.get(key, ["accepted 0a", "ValueError"])
+    return run
+
+
+def _fails(summary):
+    return any(v for k, v in summary.items() if k.endswith(tool.PROBLEMS))
+
+
+def test_identical_runs_pass_with_every_summary_key():
+    lines, summary = tool.compare(_run(), _run(), CHECKOUTS)
+    assert lines == [] and not _fails(summary)
+    assert list(summary) == [
+        "pipelines", "pipelines_differing", "pipelines_failed", "pipelines_leaving_tmp",
+        "tables", "tables_differing",
+        "encrypts", "encrypts_differing",
+        "evaluations", "evaluations_differing",
+        "parses", "parses_accepted", "parses_differing", "parses_now_value_error",
+        "decodes", "decodes_differing",
+        "records", "records_accepted", "records_differing", "records_newly_rejected",
+        "records_now_value_error", "records_other_error",
+        "metrics", "metrics_differing",
+        "placements", "placements_accepted", "placements_differing",
+    ]
+
+
+@pytest.mark.parametrize("key,label", PLAIN)
+def test_plain_section_flags_any_difference(key, label):
+    # even a move from accepted to ValueError is a difference here
+    old = _run(**{key: ["accepted 0a", "accepted 0b", "x"]})
+    new = _run(**{key: ["accepted 0a", "ValueError", "y"]})
+    lines, summary = tool.compare(old, new, CHECKOUTS)
+    assert summary[key] == 3 and summary[f"{key}_differing"] == 2 and _fails(summary)
+    if label is None:  # tables are counted, not listed
+        assert lines == []
+    else:
+        assert lines == [f"{label} 1 differs: accepted 0b != ValueError",
+                         f"{label} 2 differs: x != y"]
+
+
+def test_parses_may_only_move_from_another_exception_to_value_error():
+    old = _run(parses=["TypeError", "accepted 0a", "TypeError", "ValueError", "accepted 0b"])
+    new = _run(parses=["ValueError", "ValueError", "KeyError", "ValueError", "accepted 0b"])
+    lines, summary = tool.compare(old, new, CHECKOUTS)
+    assert lines == ["parsed record 1 differs: accepted 0a != ValueError",
+                     "parsed record 2 differs: TypeError != KeyError"]
+    assert summary["parses_now_value_error"] == 1
+    assert summary["parses_differing"] == 2
+    assert summary["parses_accepted"] == 2  # counted in the old run
+
+
+def test_parses_move_to_value_error_alone_passes():
+    old = _run(parses=["TypeError", "accepted 0a"])
+    new = _run(parses=["ValueError", "accepted 0a"])
+    lines, summary = tool.compare(old, new, CHECKOUTS)
+    assert lines == [] and not _fails(summary)
+    assert summary["parses_now_value_error"] == 1
+
+
+def test_records_may_move_to_value_error_and_raise_nothing_else():
+    old = _run(records=["accepted 0a", "TypeError", "accepted 0b", "ValueError", "accepted 0c"])
+    new = _run(records=["ValueError", "ValueError", "TypeError", "ValueError", "accepted 0c"])
+    lines, summary = tool.compare(old, new, CHECKOUTS)
+    assert lines == ["record input 2 differs: accepted 0b != TypeError",
+                     "record input 2 raises TypeError, not ValueError"]
+    assert summary["records_newly_rejected"] == 1
+    assert summary["records_now_value_error"] == 1
+    assert summary["records_other_error"] == 1
+    assert summary["records_differing"] == 1
+    assert summary["records_accepted"] == 1  # counted in the new run
+
+
+def test_records_flag_another_error_even_when_unchanged():
+    old = new = _run(records=["accepted 0a", "TypeError"])
+    lines, summary = tool.compare(old, new, CHECKOUTS)
+    assert lines == ["record input 1 raises TypeError, not ValueError"]
+    assert summary["records_other_error"] == 1 and summary["records_differing"] == 0
+    assert _fails(summary)
+
+
+def test_records_newly_rejected_alone_passes():
+    old = _run(records=["accepted 0a", "accepted 0b"])
+    new = _run(records=["ValueError", "accepted 0b"])
+    lines, summary = tool.compare(old, new, CHECKOUTS)
+    assert lines == [] and not _fails(summary)
+    assert summary["records_newly_rejected"] == 1 and summary["records_accepted"] == 1
+
+
+def test_failed_pipeline_is_flagged():
+    failed = {"exact-verify[0]": {**PIPELINE, "ok": False}}
+    lines, summary = tool.compare(_run(), _run(failed), CHECKOUTS)
+    assert lines == [
+        f"pipeline exact-verify[0] differs: {PIPELINE} != {failed['exact-verify[0]']}",
+        "pipeline exact-verify[0] failed its output check",
+    ]
+    assert summary["pipelines_failed"] == 1 and summary["pipelines_differing"] == 1
+
+
+def test_leftover_temporaries_are_flagged_for_each_checkout():
+    leaving = _run({"qaoa-decode[3]": {**PIPELINE, "tmp": ["dist.json.tmp"]}})
+    lines, summary = tool.compare(leaving, leaving, CHECKOUTS)
+    assert lines == ["pipeline qaoa-decode[3] of OLD left temporaries ['dist.json.tmp']",
+                     "pipeline qaoa-decode[3] of NEW left temporaries ['dist.json.tmp']"]
+    assert summary["pipelines_leaving_tmp"] == 2 and summary["pipelines_differing"] == 0
+    assert _fails(summary)
+
+
+def test_lines_follow_the_section_order():
+    old = _run(encrypts=["a"], placements=["b"], records=["accepted 0a"])
+    new = _run({"exact-verify[0]": {**PIPELINE, "ok": False}},
+               encrypts=["A"], placements=["B"], records=["KeyError"])
+    lines, _ = tool.compare(old, new, CHECKOUTS)
+    assert [line.split(" ")[0] for line in lines] == [
+        "pipeline", "encrypt", "record", "record", "placement", "pipeline",
+    ]

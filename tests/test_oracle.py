@@ -138,6 +138,15 @@ class TestAr:
         with pytest.raises(ValueError, match="normalized"):
             ar(d, SINGLE_EDGE, -1.0)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_length_mismatch_rejected(self, n):
+        d = OutcomeDistribution(n, {"1" * n: 1.0})
+        message = f"distribution has n={n}, model has n=2"
+        with pytest.raises(ValueError, match=message):
+            ar(d, SINGLE_EDGE, -1.0)
+        with pytest.raises(ValueError, match=message):
+            rar(d, SINGLE_EDGE, -1.0, k=1)
+
 
 class TestRar:
     def test_equals_ar_when_k_covers_support(self):

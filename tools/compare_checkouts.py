@@ -6,70 +6,74 @@ Usage, from anywhere:
 
 Each checkout runs in its own interpreter, importing the package from
 its ``src/``.  Both runs use the same work directory, because the
-manifests record input paths.  A run covers:
+manifests record input paths.  A run is a JSON object of sections:
 
-* the first pipelines of each benchmark workload (instance mixes from
-  ``perfbench/workloads.py`` of the checkout, driven through
-  ``cli.main``), hashing every written file and manifest and keeping
-  the stdout of ``verify`` and ``stats``;
-* ``energy_table`` on seeded random Ising and QUBO models (n <= 12,
-  plus 200 more with 11 <= n <= 18 so that both sides of the
+* ``pipelines``: the first pipelines of each benchmark workload
+  (instance mixes from ``perfbench/workloads.py`` of the checkout,
+  driven through ``cli.main``), keyed by name, hashing every written
+  file and manifest and keeping the stdout of ``verify`` and ``stats``;
+
+then one list of items per entry of ``SECTIONS``, in its order:
+
+* ``tables``: ``energy_table`` on seeded random Ising and QUBO models
+  (n <= 12, plus 200 more with 11 <= n <= 18 so that both sides of the
   2^10-entry tile width are covered; coefficient scales 1e-12 to 1e12,
   offsets up to 1e10), hashing each table's bytes;
-* ``encrypt2``/``encrypt3`` called directly on seeded random Ising
-  models, with the settings the command-line mixes never use
-  (``kmax_out``/``kmax_in`` > 1, ``preserve`` roulette, a ``d_star``
-  override, ``m = 0``), hashing each key record and encrypted model,
-  or keeping the ``ValueError`` message of a rejected call;
-* ``eval_ising``/``eval_qubo`` on sampled configurations of more
-  seeded random models (n <= 40, drawn from their own seeds so the
-  items above stay the same), hashing the energies, and each model's
-  ``problem_graph``;
-* the five JSON parsers (``ising_from_dict``, ``qubo_from_dict``,
-  ``distribution_from_dict``, ``key1_from_dict``, ``key2_from_dict``)
-  on seeded valid records with one field replaced by each value of
-  ``BAD_VALUES`` (a field is a record field, one entry of a list or of
-  the counts, or a field of a nested key), keeping per record whether
-  it was accepted, with a hash of its canonical ``*_to_dict`` form, or
-  the type of the exception that rejected it; these records come from
-  their own seeds too;
-* ``decrypt1``/``decrypt2`` on seeded keys of all three schemes
-  (``n + m`` up to 220) and distributions of up to 2000 outcomes drawn
-  around a few patterns with random decoy bits, so that many outcomes
-  collide once decoded, hashing each decoded ``distribution_to_dict``;
-* the strict records and functions (``RouletteWheel``,
+* ``encrypts``: ``encrypt2``/``encrypt3`` called directly on seeded
+  random Ising models, with the settings the command-line mixes never
+  use (``kmax_out``/``kmax_in`` > 1, ``preserve`` roulette, a
+  ``d_star`` override, ``m = 0``), hashing each key record and
+  encrypted model, or keeping the ``ValueError`` message of a rejected
+  call;
+* ``evaluations``: ``eval_ising``/``eval_qubo`` on sampled
+  configurations of seeded random models (n <= 40), hashing the
+  energies, and each model's ``problem_graph``;
+* ``parses``: the five JSON parsers (``ising_from_dict``,
+  ``qubo_from_dict``, ``distribution_from_dict``, ``key1_from_dict``,
+  ``key2_from_dict``) on seeded valid records with one field replaced
+  by each value of ``BAD_VALUES`` (a field is a record field, one entry
+  of a list or of the counts, or a field of a nested key);
+* ``decodes``: ``decrypt1``/``decrypt2`` on seeded keys of all three
+  schemes (``n + m`` up to 220) and distributions of up to 2000
+  outcomes drawn around a few patterns with random decoy bits, so that
+  many outcomes collide once decoded, hashing each decoded
+  ``distribution_to_dict``;
+* ``records``: the strict records and functions (``RouletteWheel``,
   ``DecoyPlacement``, ``QaoaParams``, ``apply_permutation``,
   ``minimal_decoy_count``, ``regular_edge_set``) on seeded valid
   inputs, and on each input with one of its real fields, permutation
   entries or degrees (or the roulette mode) replaced by each value of
-  ``BAD_VALUES``, keeping a hash of the result or the exception type;
-  ``d_star`` and ``m`` are not replaced, since ``minimal_decoy_count``
-  searches up to ``d_star`` and ``regular_edge_set`` allocates ``m``
-  entries, so 10**400 would run without end or overflow.
+  ``BAD_VALUES``; ``d_star`` and ``m`` are not replaced, since
+  ``minimal_decoy_count`` searches up to ``d_star`` and
+  ``regular_edge_set`` allocates ``m`` entries, so 10**400 would run
+  without end or overflow;
+* ``metrics``: ``ar`` and ``rar`` (k = 1, 5 and the support size) on
+  seeded random Ising and QUBO models with n <= 16, every other one
+  with its coefficients replaced by +-1 times one scale so that many
+  energies tie, under distributions whose weights are counts of 0 to 3,
+  so that many weights tie, hashing each model's results; and
+  ``sample`` on seeded random states with 1 <= n <= 16, hashing each
+  ``distribution_to_dict``;
+* ``placements``: ``regular_edge_set`` on the degree sequences of
+  seeded random graphs (n <= 30) with ``d_star`` from the maximum
+  degree to 10 above it and ``m`` from ``minimal_decoy_count`` to 3
+  above it, hashing the ``repr`` of each plan.
 
-* ``ar`` and ``rar`` (k = 1, 5 and the support size) on seeded random
-  Ising and QUBO models with n <= 16, every other one with its
-  coefficients replaced by +-1 times one scale so that many energies
-  tie, under distributions whose weights are counts of 0 to 3, so that
-  many weights tie, hashing each model's results (a value, or the type
-  of the exception that rejected the call); and ``sample`` on seeded
-  random states with 1 <= n <= 16, hashing each ``distribution_to_dict``.
+Each section draws from its own seeds.  Where a call may be rejected,
+the type of the exception it raises stands in for its result.  An
+accepted parse, record input or plan is ``"accepted "`` and a hash of
+the result (for a parse, of its canonical ``*_to_dict`` form), and an
+``ar``/``rar`` value is kept as its ``float.hex``.
 
-* ``regular_edge_set`` on the degree sequences of seeded random graphs
-  (n <= 30) with ``d_star`` from the maximum degree to 10 above it and
-  ``m`` from ``minimal_decoy_count`` to 3 above it, hashing the
-  ``repr`` of each plan or keeping the type of the exception.
-
-The last four sections draw from their own seeds too.
-
-The script prints one line per differing item and exits nonzero if
-anything differs, if a pipeline fails its output check, or if a
-pipeline leaves a ``*.tmp`` file in the work directory.  A parsed
-record, or an input to a strict record or function, may change in one
-way only: it may now raise ``ValueError``, the one error they report,
-where it raised another exception or (inputs only) was accepted.  The
-script also fails if such an input raises anything but ``ValueError``
-at the new checkout.
+The script prints one line per differing item (tables are only
+counted) and a JSON summary, and exits nonzero if anything differs, if
+a pipeline fails its output check, or if a pipeline leaves a ``*.tmp``
+file in the work directory.  An item may change only where its
+``SECTIONS`` entry allows it: a parsed record may move from another
+exception to ``ValueError``, the one error the parsers report, and a
+record input may move to ``ValueError`` from anything, but may raise
+nothing else at the new checkout.  Adding a section takes a producer
+and one ``SECTIONS`` entry.
 """
 
 from __future__ import annotations
@@ -79,13 +83,17 @@ import contextlib
 import copy
 import hashlib
 import io
+import itertools
 import json
 import math
 import shutil
 import subprocess
 import sys
 import tempfile
+from operator import methodcaller
 from pathlib import Path
+
+import numpy as np
 
 PIPELINES = {"exact-verify": 30, "qaoa-decode": 12, "client-large": 6}
 WIDE_MODELS = 200  # tables with 11 <= n <= 18, after the --models ones
@@ -106,6 +114,30 @@ PLACEMENTS = 300  # decoy-edge plans hashed
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _accepted_repr(result) -> str:
+    return "accepted " + _digest(repr(result).encode())
+
+
+def _outcome(call, *args, show=_accepted_repr, **kwargs) -> str:
+    """``show(call(*args, **kwargs))``, or the type of the exception either raised."""
+    try:
+        return show(call(*args, **kwargs))
+    except Exception as exc:  # the exception type is the outcome
+        return type(exc).__name__
+
+
+def _replaced(record, paths):
+    """Copies of ``record`` with the field at each path replaced by each of ``BAD_VALUES``."""
+    for path in paths:
+        for value in BAD_VALUES:
+            changed = copy.deepcopy(record)
+            target = changed
+            for step in path[:-1]:
+                target = target[step]
+            target[path[-1]] = value
+            yield changed
 
 
 def _pipeline_outputs(workloads, cli, workdir: Path, seed: int) -> dict:
@@ -139,8 +171,6 @@ def _pipeline_outputs(workloads, cli, workdir: Path, seed: int) -> dict:
 
 
 def _random_models(count: int, seed, min_n: int = 1, max_n: int = 12):
-    import numpy as np
-
     from isingcloak import IsingModel, QuboModel
 
     rng = np.random.default_rng(seed)
@@ -160,16 +190,21 @@ def _random_models(count: int, seed, min_n: int = 1, max_n: int = 12):
             yield QuboModel(n, {**diagonal, **couplings}, offset)
 
 
-def _encrypt_outputs(count: int, seed: int) -> list:
-    import numpy as np
+def _table_outputs(seed: int, models: int) -> list:
+    from isingcloak import energy_table
 
+    small = _random_models(models, seed)
+    wide = _random_models(WIDE_MODELS, [seed, 1], min_n=11, max_n=18)
+    return [_digest(energy_table(m).tobytes()) for m in itertools.chain(small, wide)]
+
+
+def _encrypt_outputs(seed: int, models: int) -> list:
     from isingcloak import IsingModel, encrypt2, encrypt3, ising_to_dict, problem_graph, qubo_to_ising
     from isingcloak.core import dumps
     from isingcloak.scheme2 import key2_to_dict
-    from isingcloak.scheme3 import key3_to_dict
 
     out = []
-    for i, model in enumerate(_random_models(count, [seed, 2], max_n=10)):
+    for i, model in enumerate(_random_models(ENCRYPTS, [seed, 2], max_n=10)):
         if not isinstance(model, IsingModel):
             model = qubo_to_ising(model)
         rng = np.random.default_rng([seed, 3, i])
@@ -182,27 +217,23 @@ def _encrypt_outputs(count: int, seed: int) -> list:
                 kmax_in = int(rng.integers(1, 4))
                 enc, key = encrypt2(model, m, rng, kmax_out=kmax_out, kmax_in=kmax_in,
                                     bins=bins, mode=mode)
-                record = key2_to_dict(key)
             else:
                 d_star = None
                 if rng.random() < 0.5:
                     d_star = max(problem_graph(model).degrees) + int(rng.integers(-1, 3))
                 enc, key = encrypt3(model, rng, d_star=d_star, bins=bins, mode=mode)
-                record = key3_to_dict(key)
-            out.append({"key": _digest(dumps(record).encode()),
+            out.append({"key": _digest(dumps(key2_to_dict(key)).encode()),
                         "encrypted": _digest(dumps(ising_to_dict(enc)).encode())})
         except ValueError as exc:
             out.append({"error": str(exc)})
     return out
 
 
-def _evaluation_outputs(count: int, seed: int) -> list:
-    import numpy as np
-
+def _evaluation_outputs(seed: int, models: int) -> list:
     from isingcloak import IsingModel, eval_ising, eval_qubo, problem_graph
 
     out = []
-    for i, model in enumerate(_random_models(count, [seed, 4], max_n=40)):
+    for i, model in enumerate(_random_models(EVALUATED_MODELS, [seed, 4], max_n=40)):
         bits = np.random.default_rng([seed, 5, i]).integers(0, 2, (CONFIGS, model.n))
         if isinstance(model, IsingModel):
             energies = [eval_ising(model, 2 * x - 1) for x in bits]
@@ -215,8 +246,6 @@ def _evaluation_outputs(count: int, seed: int) -> list:
 
 def _valid_records(count: int, seed: int):
     """``(parser name, record)`` pairs: ``count`` seeded valid records per parser."""
-    import numpy as np
-
     from isingcloak import IsingModel, encrypt2, encrypt3, gen_key1, qubo_to_ising
     from isingcloak.core import ising_to_dict, qubo_to_dict
     from isingcloak.scheme1 import key1_to_dict
@@ -254,9 +283,7 @@ def _fields(record, rng, path=()):
         yield from _fields(record[entry], rng, path + (entry,))
 
 
-def _parse_outcomes(count: int, seed: int) -> list:
-    import numpy as np
-
+def _parse_outcomes(seed: int, models: int) -> list:
     from isingcloak import core, scheme1, scheme2
 
     codecs = {
@@ -268,32 +295,23 @@ def _parse_outcomes(count: int, seed: int) -> list:
     }
     rng = np.random.default_rng([seed, 8])
     out = []
-    for name, record in _valid_records(count, seed):
+    for name, record in _valid_records(PARSED_RECORDS, seed):
         parse, canonical = codecs[name]
-        for path in _fields(record, rng):
-            for value in BAD_VALUES:
-                changed = copy.deepcopy(record)
-                target = changed
-                for step in path[:-1]:
-                    target = target[step]
-                target[path[-1]] = value
-                try:
-                    parsed = canonical(parse(changed))
-                except Exception as exc:  # the exception type is the outcome
-                    out.append(type(exc).__name__)
-                else:
-                    out.append("accepted " + _digest(core.dumps(parsed).encode()))
+
+        def show(parsed):
+            return "accepted " + _digest(core.dumps(canonical(parsed)).encode())
+
+        out += [_outcome(parse, changed, show=show)
+                for changed in _replaced(record, _fields(record, rng))]
     return out
 
 
-def _decode_outputs(count: int, seed: int) -> list:
-    import numpy as np
-
+def _decode_outputs(seed: int, models: int) -> list:
     from isingcloak import KeyII, OutcomeDistribution, decrypt1, decrypt2, gen_key1, gen_permutation
     from isingcloak.core import distribution_to_dict, dumps
 
     out = []
-    for i in range(count):
+    for i in range(DECODES):
         rng = np.random.default_rng([seed, 9, i])
         scheme = ("I", "II", "III")[i % 3]
         n = int(rng.integers(1, 201))
@@ -320,15 +338,17 @@ def _decode_outputs(count: int, seed: int) -> list:
 
 
 def _record_inputs(count: int, seed: int):
-    """``(name, args, paths)``: seeded valid inputs and the fields to replace in them.
+    """``(call, args, paths)``: seeded valid inputs and the fields to replace in them.
 
     A path is ``(k,)`` for argument k itself or ``(k, entry)`` for one
     entry of it.
     """
-    import numpy as np
-
     from isingcloak import (
+        DecoyPlacement,
         IsingModel,
+        QaoaParams,
+        RouletteWheel,
+        apply_permutation,
         build_roulette,
         embed_decoys,
         gen_permutation,
@@ -336,6 +356,7 @@ def _record_inputs(count: int, seed: int):
         minimal_decoy_count,
         problem_graph,
         qubo_to_ising,
+        regular_edge_set,
     )
 
     for i, model in enumerate(_random_models(count, [seed, 10], max_n=8)):
@@ -350,57 +371,28 @@ def _record_inputs(count: int, seed: int):
             mode = ("inverse", "preserve")[i % 2]
             wheel = build_roulette(q.A.values(), bins=int(rng.integers(1, 6)), mode=mode)
             edges, weights = list(wheel.bin_edges), list(wheel.sector_weights)
-            yield "wheel", [edges, weights, mode], [(0, entry(range(len(edges)))),
-                                                    (1, entry(range(len(weights)))), (2,)]
+            yield RouletteWheel, [edges, weights, mode], [(0, entry(range(len(edges)))),
+                                                          (1, entry(range(len(weights)))), (2,)]
             _, placement = embed_decoys(q, int(rng.integers(1, 4)), wheel, rng)
             B, C = dict(placement.B_entries), dict(placement.C_entries)
-            yield "placement", [B, C], [(0, entry(B)), (1, entry(C))]
+            yield DecoyPlacement, [B, C], [(0, entry(B)), (1, entry(C))]
         p = int(rng.integers(1, 4))
         gammas, betas = rng.uniform(0.0, np.pi, (2, p)).tolist()
-        yield "params", [gammas, betas], [(0, entry(range(p))), (1, entry(range(p)))]
+        yield QaoaParams, [gammas, betas], [(0, entry(range(p))), (1, entry(range(p)))]
         perm = list(gen_permutation(q.n, rng))
-        yield "permutation", [q, perm], [(1, entry(range(q.n)))]
+        yield apply_permutation, [q, perm], [(1, entry(range(q.n)))]
         degrees = list(problem_graph(ising).degrees)
         d_star = max(degrees) + int(rng.integers(0, 3))
-        yield "decoy_count", [degrees, d_star], [(0, entry(range(q.n)))]
+        yield minimal_decoy_count, [degrees, d_star], [(0, entry(range(q.n)))]
         m = minimal_decoy_count(degrees, d_star)
-        yield "edge_set", [degrees, d_star, m], [(0, entry(range(q.n)))]
+        yield regular_edge_set, [degrees, d_star, m], [(0, entry(range(q.n)))]
 
 
-def _record_outcomes(count: int, seed: int) -> list:
-    from isingcloak import (
-        DecoyPlacement,
-        QaoaParams,
-        RouletteWheel,
-        apply_permutation,
-        minimal_decoy_count,
-        regular_edge_set,
-    )
-
-    calls = {"wheel": RouletteWheel, "placement": DecoyPlacement, "params": QaoaParams,
-             "permutation": apply_permutation, "decoy_count": minimal_decoy_count,
-             "edge_set": regular_edge_set}
-
-    def outcome(name, args):
-        try:
-            result = calls[name](*args)
-        except Exception as exc:  # the exception type is the outcome
-            return type(exc).__name__
-        return "accepted " + _digest(repr(result).encode())
-
+def _record_outcomes(seed: int, models: int) -> list:
     out = []
-    for name, args, paths in _record_inputs(count, seed):
-        out.append(outcome(name, args))
-        for path in paths:
-            for value in BAD_VALUES:
-                changed = list(args)
-                if len(path) == 1:
-                    changed[path[0]] = value
-                else:
-                    k, entry = path
-                    changed[k] = copy.copy(args[k])
-                    changed[k][entry] = value
-                out.append(outcome(name, changed))
+    for call, args, paths in _record_inputs(RECORD_MODELS, seed):
+        out += [_outcome(call, *changed)
+                for changed in itertools.chain([args], _replaced(args, paths))]
     return out
 
 
@@ -417,20 +409,13 @@ def _tied(model, scale: float):
     return QuboModel(model.n, signed(model.A), model.offset)
 
 
-def _metric_outputs(count: int, states: int, seed: int) -> list:
-    import numpy as np
-
+def _metric_outputs(seed: int, models: int) -> list:
     from isingcloak import OutcomeDistribution, ar, brute_force, rar, sample
     from isingcloak.core import distribution_to_dict, dumps
 
-    def outcome(call, *args, **kwargs):
-        try:
-            return call(*args, **kwargs).hex()
-        except Exception as exc:  # the exception type is the outcome
-            return type(exc).__name__
-
+    hexed = methodcaller("hex")
     out = []
-    for i, model in enumerate(_random_models(count, [seed, 12], max_n=16)):
+    for i, model in enumerate(_random_models(METRIC_MODELS, [seed, 12], max_n=16)):
         rng = np.random.default_rng([seed, 13, i])
         n = model.n
         if i % 2:
@@ -442,10 +427,10 @@ def _metric_outputs(count: int, states: int, seed: int) -> list:
         keys = [format(int(k), f"0{n}b")[::-1] for k in picked]
         dist = OutcomeDistribution(n, dict(zip(keys, (counts / counts.sum()).tolist())))
         gmin = brute_force(model).global_min
-        results = [outcome(ar, dist, model, gmin)]
-        results += [outcome(rar, dist, model, gmin, k=k) for k in (1, 5, size)]
+        results = [_outcome(ar, dist, model, gmin, show=hexed)]
+        results += [_outcome(rar, dist, model, gmin, k=k, show=hexed) for k in (1, 5, size)]
         out.append(_digest(json.dumps(results).encode()))
-    for i in range(states):
+    for i in range(SAMPLED_STATES):
         rng = np.random.default_rng([seed, 14, i])
         n = i % 16 + 1
         state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -454,52 +439,103 @@ def _metric_outputs(count: int, states: int, seed: int) -> list:
     return out
 
 
-def _placement_outputs(count: int, seed: int) -> list:
-    import numpy as np
-
+def _placement_outputs(seed: int, models: int) -> list:
     from isingcloak import minimal_decoy_count, regular_edge_set
 
     out = []
-    for i in range(count):
+    for i in range(PLACEMENTS):
         rng = np.random.default_rng([seed, 15, i])
         n = int(rng.integers(1, 31))
         adjacency = np.triu(rng.random((n, n)) < rng.random(), 1)
         degrees = (adjacency.sum(0) + adjacency.sum(1)).tolist()
         d_star = max(degrees) + int(rng.integers(0, 11))
         m = minimal_decoy_count(degrees, d_star) + int(rng.integers(0, 4))
-        try:
-            plan = regular_edge_set(degrees, d_star, m)
-        except Exception as exc:  # the exception type is the outcome
-            out.append(type(exc).__name__)
-        else:
-            out.append("accepted " + _digest(repr(plan).encode()))
+        out.append(_outcome(regular_edge_set, degrees, d_star, m))
     return out
+
+
+# The one change a differing item may make, besides None (no change).
+FROM_ERROR = "from another exception to ValueError"
+TO_VALUE_ERROR = "to ValueError"  # and no item raises anything else
+
+# Section key, item label (None: differing items are counted, not
+# listed), producer, the one change a differing item may make, and the
+# run ("old" or "new") whose accepted items are counted, if any.  A
+# producer takes the seed and the --models count, which only the tables
+# use, and returns the section's list of items.
+SECTIONS = (
+    ("tables", None, _table_outputs, None, None),
+    ("encrypts", "encrypt", _encrypt_outputs, None, None),
+    ("evaluations", "evaluation", _evaluation_outputs, None, None),
+    ("parses", "parsed record", _parse_outcomes, FROM_ERROR, "old"),
+    ("decodes", "decode", _decode_outputs, None, None),
+    ("records", "record input", _record_outcomes, TO_VALUE_ERROR, "new"),
+    ("metrics", "metric item", _metric_outputs, None, None),
+    ("placements", "placement", _placement_outputs, None, "new"),
+)
+# summary counts that fail the check when nonzero
+PROBLEMS = ("_differing", "_failed", "_leaving_tmp", "_other_error")
+
+
+def _accepted(item) -> bool:
+    return item.startswith("accepted")
+
+
+def _allowed(change, a, b) -> bool:
+    """Whether item ``a`` may become the different item ``b`` under ``change``."""
+    return (change is not None and b == "ValueError"
+            and (change == TO_VALUE_ERROR or not _accepted(a)))
 
 
 def child(checkout: Path, workdir: Path, seed: int, models: int) -> None:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     import workloads
 
-    from isingcloak import energy_table
-
     cli = workloads.import_cli(checkout)
     with contextlib.redirect_stderr(io.StringIO()):
-        outputs = _pipeline_outputs(workloads, cli, workdir, seed)
-    tables = [_digest(energy_table(m).tobytes()) for m in _random_models(models, seed)]
-    tables += [
-        _digest(energy_table(m).tobytes())
-        for m in _random_models(WIDE_MODELS, [seed, 1], min_n=11, max_n=18)
+        run = {"pipelines": _pipeline_outputs(workloads, cli, workdir, seed)}
+    for key, _, produce, _, _ in SECTIONS:
+        run[key] = produce(seed, models)
+    json.dump(run, sys.stdout)
+
+
+def compare(old: dict, new: dict, checkouts) -> tuple[list, dict]:
+    """The problem lines and the summary for the runs ``old`` and ``new`` of ``checkouts``."""
+    runs = {"old": old, "new": new}
+    diffs = [k for k in old["pipelines"] if old["pipelines"][k] != new["pipelines"].get(k)]
+    failed = [k for k in new["pipelines"] if not new["pipelines"][k]["ok"]]
+    leftover = [
+        (checkout, k, run["pipelines"][k]["tmp"])
+        for checkout, run in zip(checkouts, (old, new))
+        for k in run["pipelines"]
+        if run["pipelines"][k]["tmp"]
     ]
-    encrypts = _encrypt_outputs(ENCRYPTS, seed)
-    evaluations = _evaluation_outputs(EVALUATED_MODELS, seed)
-    parses = _parse_outcomes(PARSED_RECORDS, seed)
-    decodes = _decode_outputs(DECODES, seed)
-    records = _record_outcomes(RECORD_MODELS, seed)
-    metrics = _metric_outputs(METRIC_MODELS, SAMPLED_STATES, seed)
-    placements = _placement_outputs(PLACEMENTS, seed)
-    json.dump({"pipelines": outputs, "tables": tables, "encrypts": encrypts,
-               "evaluations": evaluations, "parses": parses, "decodes": decodes,
-               "records": records, "metrics": metrics, "placements": placements}, sys.stdout)
+    lines = [f"pipeline {k} differs: {old['pipelines'][k]} != {new['pipelines'][k]}"
+             for k in diffs]
+    summary = {"pipelines": len(old["pipelines"]), "pipelines_differing": len(diffs),
+               "pipelines_failed": len(failed), "pipelines_leaving_tmp": len(leftover)}
+    for key, label, _, change, counted in SECTIONS:
+        pairs = list(zip(old[key], new[key]))
+        differing = [i for i, (a, b) in enumerate(pairs) if a != b and not _allowed(change, a, b)]
+        moved = [a for a, b in pairs if a != b and _allowed(change, a, b)]
+        summary[key] = len(old[key])
+        if counted:
+            summary[f"{key}_accepted"] = sum(map(_accepted, runs[counted][key]))
+        summary[f"{key}_differing"] = len(differing)
+        if label:
+            lines += [f"{label} {i} differs: {old[key][i]} != {new[key][i]}" for i in differing]
+        if change == TO_VALUE_ERROR:
+            others = [i for i, b in enumerate(new[key]) if not _accepted(b) and b != "ValueError"]
+            lines += [f"{label} {i} raises {new[key][i]}, not ValueError" for i in others]
+            summary[f"{key}_newly_rejected"] = sum(map(_accepted, moved))
+            summary[f"{key}_now_value_error"] = len(moved) - summary[f"{key}_newly_rejected"]
+            summary[f"{key}_other_error"] = len(others)
+        elif change:
+            summary[f"{key}_now_value_error"] = len(moved)
+    lines += [f"pipeline {k} failed its output check" for k in failed]
+    lines += [f"pipeline {k} of {checkout} left temporaries {names}"
+              for checkout, k, names in leftover]
+    return lines, summary
 
 
 def main(argv=None) -> int:
@@ -525,90 +561,11 @@ def main(argv=None) -> int:
                 capture_output=True, text=True, check=True,
             )
             runs.append(json.loads(proc.stdout))
-    old, new = runs
-    diffs = [k for k in old["pipelines"] if old["pipelines"][k] != new["pipelines"].get(k)]
-    failed = [k for k in new["pipelines"] if not new["pipelines"][k]["ok"]]
-    leftover = [
-        (checkout, k, run["pipelines"][k]["tmp"])
-        for checkout, run in zip((args.old, args.new), runs)
-        for k in run["pipelines"]
-        if run["pipelines"][k]["tmp"]
-    ]
-    tables = sum(a != b for a, b in zip(old["tables"], new["tables"]))
-    encrypts = [i for i, (a, b) in enumerate(zip(old["encrypts"], new["encrypts"])) if a != b]
-    evaluations = [
-        i for i, (a, b) in enumerate(zip(old["evaluations"], new["evaluations"])) if a != b
-    ]
-    # a record may only move from another exception to ValueError
-    parses = [
-        i for i, (a, b) in enumerate(zip(old["parses"], new["parses"]))
-        if a != b and (a.startswith("accepted") or b != "ValueError")
-    ]
-    retyped = sum(a != b for a, b in zip(old["parses"], new["parses"])) - len(parses)
-    decodes = [i for i, (a, b) in enumerate(zip(old["decodes"], new["decodes"])) if a != b]
-    # an input may only move to ValueError, and may raise nothing else
-    records = [i for i, (a, b) in enumerate(zip(old["records"], new["records"]))
-               if a != b and b != "ValueError"]
-    other_errors = [i for i, b in enumerate(new["records"])
-                    if not b.startswith("accepted") and b != "ValueError"]
-    moved = [a for a, b in zip(old["records"], new["records"]) if a != b and b == "ValueError"]
-    metrics = [i for i, (a, b) in enumerate(zip(old["metrics"], new["metrics"])) if a != b]
-    placements = [
-        i for i, (a, b) in enumerate(zip(old["placements"], new["placements"])) if a != b
-    ]
-    for k in diffs:
-        print(f"pipeline {k} differs: {old['pipelines'][k]} != {new['pipelines'][k]}")
-    for i in encrypts:
-        print(f"encrypt {i} differs: {old['encrypts'][i]} != {new['encrypts'][i]}")
-    for i in evaluations:
-        print(f"evaluation {i} differs: {old['evaluations'][i]} != {new['evaluations'][i]}")
-    for i in parses:
-        print(f"parsed record {i} differs: {old['parses'][i]} != {new['parses'][i]}")
-    for i in decodes:
-        print(f"decode {i} differs: {old['decodes'][i]} != {new['decodes'][i]}")
-    for i in records:
-        print(f"record input {i} differs: {old['records'][i]} != {new['records'][i]}")
-    for i in other_errors:
-        print(f"record input {i} raises {new['records'][i]}, not ValueError")
-    for i in metrics:
-        print(f"metric item {i} differs: {old['metrics'][i]} != {new['metrics'][i]}")
-    for i in placements:
-        print(f"placement {i} differs: {old['placements'][i]} != {new['placements'][i]}")
-    for k in failed:
-        print(f"pipeline {k} failed its output check")
-    for checkout, k, names in leftover:
-        print(f"pipeline {k} of {checkout} left temporaries {names}")
-    print(json.dumps({
-        "pipelines": len(old["pipelines"]),
-        "pipelines_differing": len(diffs),
-        "pipelines_failed": len(failed),
-        "pipelines_leaving_tmp": len(leftover),
-        "tables": len(old["tables"]),
-        "tables_differing": tables,
-        "encrypts": len(old["encrypts"]),
-        "encrypts_differing": len(encrypts),
-        "evaluations": len(old["evaluations"]),
-        "evaluations_differing": len(evaluations),
-        "parses": len(old["parses"]),
-        "parses_accepted": sum(a.startswith("accepted") for a in old["parses"]),
-        "parses_differing": len(parses),
-        "parses_now_value_error": retyped,
-        "decodes": len(old["decodes"]),
-        "decodes_differing": len(decodes),
-        "records": len(old["records"]),
-        "records_accepted": sum(b.startswith("accepted") for b in new["records"]),
-        "records_differing": len(records),
-        "records_newly_rejected": sum(a.startswith("accepted") for a in moved),
-        "records_now_value_error": sum(not a.startswith("accepted") for a in moved),
-        "records_other_error": len(other_errors),
-        "metrics": len(old["metrics"]),
-        "metrics_differing": len(metrics),
-        "placements": len(old["placements"]),
-        "placements_accepted": sum(b.startswith("accepted") for b in new["placements"]),
-        "placements_differing": len(placements),
-    }))
-    return 1 if (diffs or failed or leftover or tables or encrypts or evaluations or parses
-                 or decodes or records or other_errors or metrics or placements) else 0
+    lines, summary = compare(*runs, (args.old, args.new))
+    for line in lines:
+        print(line)
+    print(json.dumps(summary))
+    return 1 if any(v for k, v in summary.items() if k.endswith(PROBLEMS)) else 0
 
 
 if __name__ == "__main__":

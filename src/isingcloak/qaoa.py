@@ -1,8 +1,12 @@
 """Dense-statevector simulation of the alternating-operator ansatz.
 
 Each layer applies the exact diagonal cost phase exp(-i * gamma * f(z))
-built from the precomputed energy table (offset excluded, it is a
-global phase) followed by an X rotation by angle 2*beta on every qubit.
+followed by an X rotation by angle 2*beta on every qubit.  The phase
+comes from the precomputed energy table (offset excluded, it is a
+global phase): a table holds few distinct levels, so the exponential is
+taken once per level and gathered to the 2^n entries through each
+entry's level index, both computed once per solve.  The rotation of
+each qubit is three long vectorized passes over the whole state.
 Parameters are tuned by a derivative-free coordinate search with random
 restarts, and measurement is simulated by multinomial shot sampling.
 The dense simulator is capped at n <= 16.
@@ -45,37 +49,60 @@ class QaoaParams:
 
 
 def _mix(state: np.ndarray, beta: float, n: int) -> np.ndarray:
-    """Apply exp(-i*beta*X) to every qubit of a 2^n statevector."""
+    """Apply exp(-i*beta*X) to every qubit of a 2^n statevector, qubits 0 to n-1 in order.
+
+    For qubit q each pair (a0, a1) becomes (c*a0 + s*a1, s*a0 + c*a1):
+    the products of the whole state with c and with s land in two
+    buffers, and one add takes the s products with the halves of every
+    pair swapped.  These are the products and sums of the pair-by-pair
+    formula (float addition commutes exactly), so the bytes are the same.
+    """
     c = np.cos(beta)
     s = -1j * np.sin(beta)
+    cs = np.empty_like(state)
+    ss = np.empty_like(state)
     for q in range(n):
-        view = state.reshape(-1, 2, 1 << q)
-        a0 = view[:, 0, :].copy()
-        a1 = view[:, 1, :]
-        view[:, 0, :] = c * a0 + s * a1
-        view[:, 1, :] = s * a0 + c * a1
+        shape = (-1, 2, 1 << q)
+        np.multiply(c, state, out=cs)
+        np.multiply(s, state, out=ss)
+        np.add(cs.reshape(shape), ss.reshape(shape)[:, ::-1], out=state.reshape(shape))
     return state
 
 
-def _evolve(energies: np.ndarray, params: QaoaParams, n: int) -> np.ndarray:
-    state = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128)
+def _evolve(phases, params: QaoaParams, n: int) -> np.ndarray:
+    """Statevector after the layers of ``params``, from the tuple of :func:`_phase_energies`.
+
+    Each cost phase is exponentiated over the distinct levels only and
+    gathered to all 2^n entries; the first layer scales it by the
+    uniform amplitude before the gather.
+    """
+    _, levels, index = phases
+    amplitude = 2.0 ** (-n / 2.0)
+    state = None
     for gamma, beta in zip(params.gammas, params.betas):
-        state = state * np.exp(-1j * gamma * energies)
+        phase = np.exp(-1j * gamma * levels)
+        state = (amplitude * phase)[index] if state is None else state * phase[index]
         state = _mix(state, beta, n)
+    if state is None:  # no layers: the uniform superposition itself
+        state = np.full(1 << n, amplitude, dtype=np.complex128)
     return state
 
 
-def _phase_energies(model: IsingModel) -> np.ndarray:
-    """The offset-free energy table that drives the cost phase."""
+def _phase_energies(model: IsingModel):
+    """The offset-free energy table, its distinct levels and each entry's level index."""
     if model.n > SIMULATOR_CAP:
         raise ValueError(f"n={model.n} exceeds the simulator cap of {SIMULATOR_CAP}")
-    return energy_table(model, include_offset=False)
+    table = energy_table(model, include_offset=False)
+    # np.unique merges -0.0 with +0.0; the gathered phases are bit-exact
+    # only because energy_table never writes -0.0 (see its docstring)
+    levels, index = np.unique(table, return_inverse=True)
+    return table, levels, index
 
 
-def _expectation(model: IsingModel, energies: np.ndarray, params: QaoaParams) -> float:
+def _expectation(model: IsingModel, phases, params: QaoaParams) -> float:
     """Offset-free expectation over the final state's probabilities, then the offset."""
-    state = _evolve(energies, params, model.n)
-    return float((np.abs(state) ** 2) @ energies) + model.offset
+    state = _evolve(phases, params, model.n)
+    return float((np.abs(state) ** 2) @ phases[0]) + model.offset
 
 
 def simulate(model: IsingModel, params: QaoaParams) -> np.ndarray:
@@ -130,7 +157,7 @@ def optimize(model: IsingModel, p: int, max_iters: int = 200, rng=None):
         raise ValueError("p must be at least 1")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    energies = _phase_energies(model)
+    phases = _phase_energies(model)
     rng = as_rng(rng)
 
     trace = []
@@ -141,7 +168,7 @@ def optimize(model: IsingModel, p: int, max_iters: int = 200, rng=None):
         nonlocal best_value, best_x
         if len(trace) >= max_iters:
             raise _Budget
-        value = _expectation(model, energies, QaoaParams(tuple(x[:p]), tuple(x[p:])))
+        value = _expectation(model, phases, QaoaParams(tuple(x[:p]), tuple(x[p:])))
         if value < best_value:
             best_value = value
             best_x = np.array(x)

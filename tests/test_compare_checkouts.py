@@ -1,12 +1,14 @@
 """The comparison rules of tools/compare_checkouts.py, on small synthetic runs."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location(
-    "compare_checkouts", Path(__file__).resolve().parents[1] / "tools" / "compare_checkouts.py"
+    "compare_checkouts", ROOT / "tools" / "compare_checkouts.py"
 )
 tool = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tool)
@@ -42,6 +44,7 @@ def test_identical_runs_pass_with_every_summary_key():
         "records_now_value_error", "records_other_error",
         "metrics", "metrics_differing",
         "placements", "placements_accepted", "placements_differing",
+        "qaoa", "qaoa_differing",
     ]
 
 
@@ -134,3 +137,41 @@ def test_lines_follow_the_section_order():
     assert [line.split(" ")[0] for line in lines] == [
         "pipeline", "encrypt", "record", "record", "placement", "pipeline",
     ]
+
+
+def test_a_raising_producer_ends_the_run_naming_its_section():
+    def raising(seed, models):
+        raise ValueError("no wheel\nfor mode 'preserve'")
+
+    producers = [("tables", lambda seed, models: ["a"]), ("records", raising),
+                 ("metrics", lambda seed, models: pytest.fail("ran past the raising section"))]
+    with pytest.raises(SystemExit) as info:
+        tool._produce(producers, 1, 10)
+    message = "section records raised ValueError(\"no wheel\\nfor mode 'preserve'\")"
+    assert info.value.code == message
+    assert tool._produce(producers[:1], 1, 10) == {"tables": ["a"]}
+
+
+def test_a_failed_child_run_is_one_line_and_exit_status_1(monkeypatch, capsys):
+    stderr = "Traceback (most recent call last):\n  ...\nsection records raised KeyError('x')\n"
+    monkeypatch.setattr(tool.subprocess, "run",
+                        lambda argv, **kwargs: subprocess.CompletedProcess(argv, 1, "", stderr))
+    assert tool.main(["OLD", "NEW"]) == 1
+    assert capsys.readouterr().out == "OLD: section records raised KeyError('x')\n"
+
+
+def test_pipeline_records_do_not_depend_on_the_work_directory(tmp_path, monkeypatch):
+    # manifests record input paths under the work directory, which is a
+    # fresh temporary directory in every invocation of the tool
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    cli = workloads.import_cli(ROOT)
+    monkeypatch.setattr(tool, "PIPELINES", {"exact-verify": 1, "qaoa-decode": 1})
+    runs = [tool._pipeline_outputs(workloads, cli, tmp_path / name, 5)
+            for name in ("work", "a-longer-work-directory")]
+    assert runs[0] == runs[1]
+    assert all(r["ok"] and r["problem.json.manifest.json"] for r in runs[0].values())
+    failed = {k: {**record, "ok": False} for k, record in runs[0].items()}
+    lines = [tool.compare(_run(run), _run(failed), CHECKOUTS)[0] for run in runs]
+    assert lines[0] == lines[1] and len(lines[0]) == 4

@@ -14,6 +14,7 @@ from isingcloak import (
     expectation,
     gen_key1,
     optimize,
+    qaoa,
     sample,
     simulate,
 )
@@ -30,6 +31,83 @@ def dense_single_edge_state(gamma, beta):
     c, s = np.cos(beta), -1j * np.sin(beta)
     rx = np.array([[c, s], [s, c]])
     return np.kron(rx, rx) @ psi
+
+
+# Reference kernel: the cost phase exponentiated entry by entry and the
+# mixer applied pair by pair.  The simulator must reproduce its states
+# and expectations byte for byte.
+def reference_mix(state, beta, n):
+    c = np.cos(beta)
+    s = -1j * np.sin(beta)
+    for q in range(n):
+        view = state.reshape(-1, 2, 1 << q)
+        a0 = view[:, 0, :].copy()
+        a1 = view[:, 1, :]
+        view[:, 0, :] = c * a0 + s * a1
+        view[:, 1, :] = s * a0 + c * a1
+    return state
+
+
+def reference_evolve(energies, params, n):
+    state = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128)
+    for gamma, beta in zip(params.gammas, params.betas):
+        state = state * np.exp(-1j * gamma * energies)
+        state = reference_mix(state, beta, n)
+    return state
+
+
+def reference_expectation(model, energies, params):
+    state = reference_evolve(energies, params, model.n)
+    return float((np.abs(state) ** 2) @ energies) + model.offset
+
+
+def pm_or_real_model(rng, n, kind):
+    """A model with +-1 couplings and fields (few levels) or random reals (all distinct)."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+    if kind == "pm":
+        J = {e: float(rng.choice([-1.0, 1.0])) for e in pairs}
+        h = rng.choice([-1.0, 0.0, 1.0], n)
+    else:
+        J = {e: float(rng.normal()) for e in pairs}
+        h = rng.normal(size=n)
+    return IsingModel(n, tuple(h.tolist()), J, float(rng.normal()))
+
+
+class TestReferenceKernel:
+    @pytest.mark.parametrize("kind", ["pm", "real"])
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_states_are_byte_identical(self, n, kind):
+        # n runs up to the simulator cap of 16
+        rng = np.random.default_rng([n, 70 if kind == "pm" else 71])
+        model = pm_or_real_model(rng, n, kind)
+        energies = energy_table(model, include_offset=False)
+        for p in range(4):
+            gammas = rng.uniform(-7.0, 7.0, p)
+            betas = rng.uniform(-4.0, 4.0, p)
+            if p:  # the grid's gamma = 0 and beta = 0 give exact zeros and ones
+                gammas[0] = betas[-1] = 0.0
+            params = QaoaParams(tuple(gammas.tolist()), tuple(betas.tolist()))
+            state = simulate(model, params)
+            assert state.dtype == np.complex128 and state.shape == (1 << n,)
+            assert state.tobytes() == reference_evolve(energies, params, n).tobytes()
+
+    @pytest.mark.parametrize("max_iters", [1, 11, 27, 200])
+    def test_optimize_matches_a_reference_driven_run(self, max_iters, monkeypatch):
+        rng = np.random.default_rng([max_iters, 72])
+        cases = [(pm_or_real_model(rng, n, kind), p)
+                 for n, kind, p in ((6, "pm", 1), (9, "real", 2), (10, "pm", 3))]
+        results = [optimize(m, p, max_iters=max_iters, rng=np.random.default_rng(73))
+                   for m, p in cases]
+        monkeypatch.setattr(qaoa, "_phase_energies",
+                            lambda m: energy_table(m, include_offset=False))
+        monkeypatch.setattr(qaoa, "_expectation", reference_expectation)
+        for (m, p), (params, trace) in zip(cases, results):
+            ref_params, ref_trace = optimize(m, p, max_iters=max_iters,
+                                             rng=np.random.default_rng(73))
+            assert len(trace) == max_iters
+            assert [x.hex() for x in trace] == [x.hex() for x in ref_trace]
+            assert [x.hex() for x in params.gammas + params.betas] == [
+                x.hex() for x in ref_params.gammas + ref_params.betas]
 
 
 class TestSimulate:

@@ -57,7 +57,13 @@ then one list of items per entry of ``SECTIONS``, in its order:
 * ``placements``: ``regular_edge_set`` on the degree sequences of
   seeded random graphs (n <= 30) with ``d_star`` from the maximum
   degree to 10 above it and ``m`` from ``minimal_decoy_count`` to 3
-  above it, hashing the ``repr`` of each plan.
+  above it, hashing the ``repr`` of each plan;
+* ``qaoa``: ``optimize`` (p = 1 to 3, with evaluation budgets that
+  stop it after its first probe, after a grid scan, after a golden
+  refine and at 200) and ``simulate`` at the parameters found, on
+  seeded random models with n <= 13 (QUBOs converted to Ising),
+  hashing each run's parameters and trace as ``float.hex`` and the
+  state's bytes.
 
 Each section draws from its own seeds.  Where a call may be rejected,
 the type of the exception it raises stands in for its result.  An
@@ -65,10 +71,16 @@ accepted parse, record input or plan is ``"accepted "`` and a hash of
 the result (for a parse, of its canonical ``*_to_dict`` form), and an
 ``ar``/``rar`` value is kept as its ``float.hex``.
 
+Written files are hashed with the work directory, which manifests
+record in their input paths, replaced by a fixed placeholder, so two
+invocations on the same pair of checkouts print the same lines.
+
 The script prints one line per differing item (tables are only
 counted) and a JSON summary, and exits nonzero if anything differs, if
 a pipeline fails its output check, or if a pipeline leaves a ``*.tmp``
-file in the work directory.  An item may change only where its
+file in the work directory.  If a section's producer raises in either
+checkout, it prints one line naming the checkout, the section and the
+exception instead, and exits 1.  An item may change only where its
 ``SECTIONS`` entry allows it: a parsed record may move from another
 exception to ``ValueError``, the one error the parsers report, and a
 record input may move to ``ValueError`` from anything, but may raise
@@ -110,6 +122,9 @@ METRIC_MODELS = 120  # models whose ar/rar results are hashed
 MAX_METRIC_OUTCOMES = 3000  # outcomes per ranked distribution, at most
 SAMPLED_STATES = 48  # states whose sample is hashed
 PLACEMENTS = 300  # decoy-edge plans hashed
+QAOA_MODELS = 120  # models whose optimize and simulate outputs are hashed
+QAOA_BUDGETS = (1, 11, 27, 200)  # max_iters: 1 start, + 1 grid scan, + 1 golden refine
+WORKDIR = b"<workdir>"  # stands in for the work directory in hashed files
 
 
 def _digest(data: bytes) -> str:
@@ -152,6 +167,7 @@ def _pipeline_outputs(workloads, cli, workdir: Path, seed: int) -> dict:
                 self.stdout[argv[0]] = stdout
             return stdout, seconds
 
+    here = str(workdir).encode()  # manifests record input paths under it
     out = {}
     for name, count in PIPELINES.items():
         for i in range(count):
@@ -165,7 +181,8 @@ def _pipeline_outputs(workloads, cli, workdir: Path, seed: int) -> dict:
             for f in FILES:
                 path = Path(pipeline.path[f])
                 for p in (path, Path(str(path) + ".manifest.json")):
-                    record[p.name] = _digest(p.read_bytes()) if p.exists() else None
+                    data = p.read_bytes().replace(here, WORKDIR) if p.exists() else None
+                    record[p.name] = None if data is None else _digest(data)
             out[f"{name}[{i}]"] = record
     return out
 
@@ -454,6 +471,20 @@ def _placement_outputs(seed: int, models: int) -> list:
     return out
 
 
+def _qaoa_outputs(seed: int, models: int) -> list:
+    from isingcloak import IsingModel, optimize, qubo_to_ising, simulate
+
+    out = []
+    for i, model in enumerate(_random_models(QAOA_MODELS, [seed, 16], max_n=13)):
+        if not isinstance(model, IsingModel):
+            model = qubo_to_ising(model)
+        params, trace = optimize(model, i % 3 + 1, max_iters=QAOA_BUDGETS[i % 4],
+                                 rng=np.random.default_rng([seed, 17, i]))
+        hexed = [x.hex() for x in params.gammas + params.betas + tuple(trace)]
+        out.append(_digest(json.dumps(hexed).encode() + simulate(model, params).tobytes()))
+    return out
+
+
 # The one change a differing item may make, besides None (no change).
 FROM_ERROR = "from another exception to ValueError"
 TO_VALUE_ERROR = "to ValueError"  # and no item raises anything else
@@ -472,6 +503,7 @@ SECTIONS = (
     ("records", "record input", _record_outcomes, TO_VALUE_ERROR, "new"),
     ("metrics", "metric item", _metric_outputs, None, None),
     ("placements", "placement", _placement_outputs, None, "new"),
+    ("qaoa", "qaoa run", _qaoa_outputs, None, None),
 )
 # summary counts that fail the check when nonzero
 PROBLEMS = ("_differing", "_failed", "_leaving_tmp", "_other_error")
@@ -487,16 +519,33 @@ def _allowed(change, a, b) -> bool:
             and (change == TO_VALUE_ERROR or not _accepted(a)))
 
 
+def _produce(producers, seed: int, models: int) -> dict:
+    """Each ``(key, produce)``'s items under its key; a producer that raises ends the run.
+
+    The run ends with exit status 1 and one line on stderr naming the
+    section and the exception.
+    """
+    run = {}
+    for key, produce in producers:
+        try:
+            run[key] = produce(seed, models)
+        except Exception as exc:  # reported as one line, not a traceback
+            raise SystemExit(f"section {key} raised {exc!r}") from exc
+    return run
+
+
 def child(checkout: Path, workdir: Path, seed: int, models: int) -> None:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     import workloads
 
     cli = workloads.import_cli(checkout)
-    with contextlib.redirect_stderr(io.StringIO()):
-        run = {"pipelines": _pipeline_outputs(workloads, cli, workdir, seed)}
-    for key, _, produce, _, _ in SECTIONS:
-        run[key] = produce(seed, models)
-    json.dump(run, sys.stdout)
+
+    def pipelines(seed, models):
+        with contextlib.redirect_stderr(io.StringIO()):
+            return _pipeline_outputs(workloads, cli, workdir, seed)
+
+    producers = [("pipelines", pipelines)] + [(key, produce) for key, _, produce, _, _ in SECTIONS]
+    json.dump(_produce(producers, seed, models), sys.stdout)
 
 
 def compare(old: dict, new: dict, checkouts) -> tuple[list, dict]:
@@ -558,8 +607,12 @@ def main(argv=None) -> int:
                 [sys.executable, __file__, str(checkout), str(checkout), "--child",
                  "--workdir", str(Path(tmp) / "work"), "--seed", str(args.seed),
                  "--models", str(args.models)],
-                capture_output=True, text=True, check=True,
+                capture_output=True, text=True,
             )
+            if proc.returncode:
+                lines = proc.stderr.strip().splitlines() or [f"exit status {proc.returncode}"]
+                print(f"{checkout}: {lines[-1]}")
+                return 1
             runs.append(json.loads(proc.stdout))
     lines, summary = compare(*runs, (args.old, args.new))
     for line in lines:

@@ -8,8 +8,10 @@ problem-size cap is n <= 24.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -19,10 +21,39 @@ from .util import bitstrings_to_array, indices_to_bitstrings
 BRUTE_FORCE_CAP = 24
 DEGENERACY_TOL = 1e-9  # ground-state tolerance, relative to the coefficient magnitudes
 
-# energy_table passes run over rows of 2^TILE_BITS contiguous entries:
-# long enough that numpy's per-row overhead is small, short enough
-# (8 KiB) that the per-call tile vectors stay in cache
+# energy_table fills the table in blocks of 2^BLOCK_BITS entries (512
+# KiB), each kept in cache while every term makes its pass over it
+BLOCK_BITS = 16
+# a pass runs over a block of 2^B entries as rows of 2^K contiguous
+# entries, K = max(TILE_BITS, B - 3) and at most B.  A full block has 8
+# rows of 2^13 entries, numpy's default ufunc buffer size, from which an
+# in-place add over rows runs about as fast per entry as over a flat
+# array (rows of 2^10 to 2^12 took about 1.6x as long, numpy 2.4); the
+# tile vectors each pass computes stay at an eighth of the block.  In a
+# smaller table shorter rows keep those vectors cheap to compute
 TILE_BITS = 10
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+WORKERS = _usable_cpus()  # threads that fill a table of more than one block
+
+
+@cache
+def _pool() -> ThreadPoolExecutor:
+    """The energy table's thread pool, started by the first table of more than one block."""
+    return ThreadPoolExecutor(WORKERS, thread_name_prefix="energy_table")
+
+
+# a forked child inherits the pool but none of its threads, so work sent
+# to it would wait for ever: the child starts its own
+if hasattr(os, "register_at_fork"):  # no fork, and no such call, on Windows
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 @dataclass(frozen=True)
@@ -50,14 +81,57 @@ class SpectrumReport:
         return np.sort(self.table)
 
 
-def _bit_view(e: np.ndarray, i: int) -> np.ndarray:
-    """View of a 2^n table whose axis 1 is bit i of the index."""
-    return e.reshape(-1, 2, 1 << i)
+@cache
+def _tiles(levels: tuple, k: int) -> list:
+    """Read-only level vectors of bits 0..k-1 over a tile of 2^k entries."""
+    tile = np.array(levels)[(np.arange(1 << k) >> np.arange(k)[:, None]) & 1]
+    tile.flags.writeable = False
+    return list(tile)
 
 
-def _pair_view(e: np.ndarray, i: int, j: int) -> np.ndarray:
-    """View of a 2^n table whose axes 1 and 3 are bits j and i (i < j)."""
-    return e.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
+def _block_passes(model: Model, b: int) -> list:
+    """Each term's in-place pass over one block of 2^b table entries.
+
+    A pass is ``(shape, selection, vectors, fixed, coefficients)``: the
+    block seen as ``shape`` and indexed by ``selection`` receives
+    ``coefficients[key]`` times each of the level ``vectors`` of the
+    term's bits below b, where bit t of ``key`` is bit ``fixed[t]`` of
+    the block's number, the term's bits at or above b.  A zero
+    coefficient (a bit fixed at level 0) skips the pass.
+    """
+    k = min(b, max(TILE_BITS, b - 3))
+    tiles = _tiles(model.levels, k)
+    lo = 0 if model.levels[0] else 1
+    high = np.array(model.levels[lo:])  # the levels a pass on a bit >= k must touch
+    upper = (slice(None), slice(lo, None))
+    rows = (-1, 1 << k)
+    column, column3 = high[:, None], high[:, None, None]
+    pair = np.multiply.outer(high, high)[:, None, :, None]
+    whole = ((-1,), ..., ())
+
+    def layout(i, j):
+        # shape, selection and level vectors of a pass over block bits i <= j
+        if j < k:
+            return rows, ..., (tiles[i],) if i == j else (tiles[i], tiles[j])
+        if i == j:
+            return (-1, 2, 1 << i), upper, (column,)
+        if i < k:
+            return (-1, 2, 1 << (j - k), 1 << k), upper, (column3, tiles[i])
+        return (-1, 2, 1 << (j - i - 1), 2, 1 << i), upper * 2, (pair,)
+
+    l0, l1 = model.levels
+    passes = []
+    for i, j, v in model.terms():
+        if j < b:
+            passes.append((*layout(i, j), (), (v,)))
+        elif i < b:  # bit j fixed by the block
+            passes.append((*layout(i, i), (j - b,), (v * l0, v * l1)))
+        elif i == j:
+            passes.append((*whole, (i - b,), (v * l0, v * l1)))
+        else:  # key bit 0 is bit i, key bit 1 bit j
+            products = (l0 * l0, l1 * l0, l0 * l1, l1 * l1)
+            passes.append((*whole, (i - b, j - b), tuple(v * f for f in products)))
+    return passes
 
 
 def energy_table(model: Model, include_offset: bool = True) -> np.ndarray:
@@ -65,53 +139,69 @@ def energy_table(model: Model, include_offset: bool = True) -> np.ndarray:
 
     Index k corresponds to the configuration whose variable i is bit i
     of k, at value ``model.levels[bit]`` (spin -1 or binary 0 for bit
-    0).  The table is one preallocated array, seen as rows of a fixed
-    tile of 2^K entries (K = min(n, TILE_BITS)), and each term of
-    ``model.terms()``, in order, makes one in-place pass over it with
-    contiguous inner runs of at least 2^K entries:
+    0).  The table is one preallocated array, filled block by block: a
+    block is 2^B contiguous entries (B = min(n, BLOCK_BITS)), small
+    enough to stay in cache while every term of ``model.terms()``, in
+    order, makes one in-place pass over it.  Inside a block the entries
+    are rows of a fixed tile of 2^K entries (K <= B, see TILE_BITS):
 
     * a term whose bits all lie below K adds its values over the tile
       (coefficient times the tile vectors ``levels[bits]``) to every
       row;
-    * a pair with i < K <= j adds v * levels[b] times the tile vector
-      of bit i along the bit-j axis, for each bit-j value b;
-    * a term on bits >= K adds a 2- or 2x2-entry block of v times
-      levels along the bit-i (and bit-j) axes.
+    * a pair with i < K <= j < B adds v * levels[b] times the tile
+      vector of bit i along the bit-j axis, for each bit-j value b;
+    * a term on bits K <= i <= j < B adds a 2- or 2x2-entry block of v
+      times levels along the bit-i (and bit-j) axes;
+    * a term on a bit j >= B is fixed by the block's number there: a
+      pair with i < B makes the pass of a linear term on bit i with
+      coefficient v * levels[bit j], and a term with every bit >= B
+      adds its one value to the whole block.
 
     Where ``levels[0]`` is 0 a term adds a no-op +-0.0 at bit 0 (an
-    entry is never -0.0), so the bit-j or bit-i axis of the last two
-    passes keeps only its bit-1 half.  Every entry receives the same
-    float additions, in the same term order, as the scalar evaluators,
+    entry is never -0.0), so a bit axis at or above K keeps only its
+    bit-1 half, and a block whose fixed bits put the term at 0 skips
+    it.  Every entry receives the same float additions of exact products
+    of v and levels, in the same term order, as the scalar evaluators,
     so table entries are bit-identical to per-configuration
-    :func:`eval_ising` / :func:`eval_qubo` calls.
+    :func:`eval_ising` / :func:`eval_qubo` calls, whatever B and K are.
+
+    A table of more than one block is split into ``WORKERS`` disjoint
+    runs of blocks, filled in parallel on one thread pool, started on
+    first use (numpy releases the interpreter lock during the in-place
+    adds).  No two runs touch the same entry, so the bytes do not
+    depend on the split either.  A one-block table is filled inline.
     """
     n = model.n
     if n > BRUTE_FORCE_CAP:
         raise ValueError(f"n={n} exceeds the enumeration cap of {BRUTE_FORCE_CAP}")
-    k = min(n, TILE_BITS)
+    b = min(n, BLOCK_BITS)
     e = np.zeros(1 << n)
-    rows = e.reshape(-1, 1 << k)
-    levels = np.array(model.levels)
-    tile = levels[(np.arange(1 << k) >> np.arange(k)[:, None]) & 1]
-    lo = 0 if levels[0] else 1
-    high = levels[lo:]  # the levels a pass on a bit >= k must touch
+    blocks = e.reshape(-1, 1 << b)
+    passes = _block_passes(model, b)
 
-    def across(j):
-        # view whose axis 1 is bit j >= k and whose last axis is the tile
-        return e.reshape(-1, 2, 1 << (j - k), 1 << k)
+    def fill(numbers):
+        for number in numbers:
+            block = blocks[number]
+            for shape, selection, vectors, fixed, coefficients in passes:
+                key = 0
+                for t, bit in enumerate(fixed):
+                    key |= (number >> bit & 1) << t
+                op = coefficients[key]
+                if op:
+                    for vector in vectors:  # made per pass, so it is still in cache
+                        op = op * vector
+                    view = block.reshape(shape)[selection]
+                    view += op  # not `block...[selection] += op`, whose store copies again
+            if include_offset:
+                block += model.offset
 
-    for i, j, v in model.terms():
-        if j < k:
-            rows += v * tile[i] if i == j else v * (tile[i] * tile[j])
-        elif i == j:
-            _bit_view(e, i)[:, lo:] += v * high[:, None]
-        elif i < k:
-            across(j)[:, lo:] += v * high[:, None, None] * tile[i]
-        else:
-            block = v * np.multiply.outer(high, high)
-            _pair_view(e, i, j)[:, lo:, :, lo:] += block[:, None, :, None]
-    if include_offset:
-        e += model.offset
+    count = len(blocks)
+    runs = min(WORKERS, count)
+    if runs == 1:
+        fill(range(count))
+    else:
+        parts = [range(r * count // runs, (r + 1) * count // runs) for r in range(runs)]
+        list(_pool().map(fill, parts))  # reads every result, so a worker's error is raised
     return e
 
 

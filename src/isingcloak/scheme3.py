@@ -11,6 +11,7 @@ from four arithmetic conditions on the degree deficiencies.
 
 from __future__ import annotations
 
+import bisect
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -148,21 +149,24 @@ def regular_edge_set(degrees: Sequence[int], d_star: int, m: int) -> Regularizat
     # by (-need, index) links to the next need[u] of them, then leaves.
     # Every decoy-decoy edge has an endpoint that has left, so two live
     # decoys are never adjacent.  Pairing one edge at a time between the
-    # top two can wedge itself even on feasible inputs
-    def rank(decoys):
-        return sorted((dj for dj in decoys if decoy_need[dj] > 0), key=lambda dj: (-decoy_need[dj], dj))
-
-    live = rank(range(m))
+    # top two can wedge itself even on feasible inputs.  ``live`` holds
+    # (need, -index) in ascending order, so u and its partners are its
+    # tail.  The partners, one need lower each, are still in order, so
+    # the two sorted runs are merged by bisecting the shorter into the
+    # longer: no full re-sort per decoy
+    live = sorted((need, -dj) for dj, need in enumerate(decoy_need) if need > 0)
     while live:
-        u, rest = live[0], live[1:]
-        partners = rest[: decoy_need[u]]
-        if len(partners) < decoy_need[u]:
+        need, u = live.pop()
+        if len(live) < need:
             raise RuntimeError("decoy placement stalled with unmet decoy deficiencies")
-        for v in partners:
-            edges.append((n + min(u, v), n + max(u, v)))
-            decoy_need[v] -= 1
-        decoy_need[u] = 0
-        live = rank(rest)
+        partners = live[-need:]
+        del live[-need:]
+        edges += [(n - max(u, v), n - min(u, v)) for _, v in reversed(partners)]
+        fresh = [(left - 1, v) for left, v in partners if left > 1]
+        if len(fresh) > len(live):
+            live, fresh = fresh, live
+        for item in fresh:
+            bisect.insort(live, item)
 
     final = list(degrees) + [0] * m
     for u, v in edges:

@@ -1,6 +1,9 @@
 """Brute-force oracle and solution-quality metrics."""
 
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from isingcloak import (
     ising_to_qubo,
     rar,
 )
+from isingcloak import oracle
 from isingcloak.util import bitstring_to_array
 
 SINGLE_EDGE = IsingModel(2, (0.0, 0.0), {(0, 1): 1.0})
@@ -241,3 +245,27 @@ def test_metrics_match_the_per_outcome_ranking_under_ties(seed):
         for k in sorted({1, 2, 5, size // 2 or 1, size, size + 3}):
             expected = _reference_top_k(dist, model, gmin, k)
             assert _bits(rar(dist, model, gmin, k=k)) == _bits(expected)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_builds_a_multi_block_table(monkeypatch):
+    # the parent's table starts the pool; a child that reused it would
+    # wait for ever on threads that did not survive the fork
+    monkeypatch.setattr(oracle, "WORKERS", max(2, oracle.WORKERS))
+    model = generate("sk", oracle.BLOCK_BITS + 4)
+    expected = energy_table(model).tobytes()
+    pid = os.fork()
+    if pid == 0:  # the child: never return into the test runner
+        code = 1
+        try:
+            code = 0 if energy_table(model).tobytes() == expected else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if status[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish its table within 30 s")
+    assert os.waitstatus_to_exitcode(status[1]) == 0

@@ -3,6 +3,7 @@ over random sizes, scales, offsets and densities."""
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,8 @@ from isingcloak import (
     minimal_decoy_count,
     problem_graph,
 )
-from isingcloak.oracle import TILE_BITS, _bit_view, _pair_view
+from isingcloak import oracle
+from isingcloak.oracle import BLOCK_BITS, TILE_BITS
 from isingcloak.scheme1 import key1_from_dict, key1_to_dict
 from isingcloak.scheme2 import key2_from_dict, key2_to_dict
 from isingcloak.scheme3 import key3_from_dict, key3_to_dict
@@ -98,6 +100,16 @@ def test_reductions_match_sorted_spectrum(model):
     assert rep.argmin_set == ground
 
 
+def _bit_view(e, i):
+    """View of a 2^n table whose axis 1 is bit i of the index."""
+    return e.reshape(-1, 2, 1 << i)
+
+
+def _pair_view(e, i, j):
+    """View of a 2^n table whose axes 1 and 3 are bits j and i (i < j)."""
+    return e.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
+
+
 def _reference_table(model):
     """Energy table by one strided pass per term over the whole table, no tiles."""
     e = np.zeros(1 << model.n)
@@ -135,6 +147,59 @@ def test_tiled_table_matches_scalar_evaluators_on_sampled_indices(model, seed):
 @given(models(TILE_BITS + 1, 16))
 def test_tiled_table_matches_untiled_reference(model):
     assert energy_table(model).tobytes() == _reference_table(model).tobytes()
+
+
+@st.composite
+def multi_block_models(draw):
+    """Ising or QUBO model of more than one table block, with +-1 or real couplings."""
+    model = draw(models(BLOCK_BITS + 1, BLOCK_BITS + 4))
+    if draw(st.booleans()):  # every coefficient +-1 times one scale, so many energies tie
+        scale = 10.0 ** draw(st.integers(-3, 3))
+        model = _signs_only(model, scale)
+    if draw(st.booleans()):
+        model = _without_linear_terms(model)
+    if draw(st.booleans()):
+        model = replace(model, offset=draw(st.sampled_from([1e15, -1e15, 2.0**60, -0.0])))
+    return model
+
+
+def _signs_only(model, scale):
+    if isinstance(model, IsingModel):
+        return replace(model, h=tuple(math.copysign(scale, v) if v else 0.0 for v in model.h),
+                       J={p: math.copysign(scale, v) for p, v in model.J.items()})
+    return replace(model, A={p: math.copysign(scale, v) for p, v in model.A.items()})
+
+
+def _without_linear_terms(model):
+    if isinstance(model, IsingModel):
+        return replace(model, h=(0.0,) * model.n)
+    return replace(model, A={(i, j): v for (i, j), v in model.A.items() if i != j})
+
+
+# n > BLOCK_BITS reaches the terms on bits at or above the block width,
+# and the tables split over the thread pool
+@settings(max_examples=12, deadline=None)
+@given(multi_block_models())
+def test_multi_block_table_matches_untiled_reference(model):
+    table = energy_table(model)
+    assert table.tobytes() == _reference_table(model).tobytes()
+    free = energy_table(model, include_offset=False)
+    for t in (table, free):
+        assert not np.signbit(t[t == 0.0]).any()  # no -0.0, which the QAOA levels rely on
+
+
+@settings(max_examples=8, deadline=None)
+@given(multi_block_models(), st.sampled_from([1, 3, 5]))
+def test_multi_block_table_bytes_do_not_depend_on_the_worker_count(model, workers):
+    expected = energy_table(model).tobytes()
+    pool = ThreadPoolExecutor(workers)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "WORKERS", workers)
+            patch.setattr(oracle, "_pool", lambda: pool)
+            assert energy_table(model).tobytes() == expected
+    finally:
+        pool.shutdown()
 
 
 @settings(max_examples=80, deadline=None)

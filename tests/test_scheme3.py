@@ -1,6 +1,7 @@
 """Scheme III: regularization conditions, decoy-edge placement, round trips."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -326,3 +327,63 @@ def test_decoy_search_starts_at_the_largest_deficiency(monkeypatch):
 def test_regular_edge_set_rejects_a_count_beyond_list_lengths():
     with pytest.raises(ValueError, match="at most"):
         regular_edge_set((1, 2, 1), 2, 10**400)
+
+
+def _resorting_edge_set(degrees, d_star, m):
+    """``regular_edge_set`` as it was before its phase 2 kept a heap: one full re-sort per decoy."""
+    degrees, d_star, deficiencies, s, max_e = scheme3._deficiencies(degrees, d_star)
+    m = scheme3._integral(m, "m", least=0)
+    if m > sys.maxsize:
+        raise ValueError(f"m must be at most {sys.maxsize}, the largest list length")
+    n = len(degrees)
+    if not check_conditions(n, m, d_star, s, max_e):
+        raise ValueError(f"m={m} fails the regularization conditions for d_star={d_star}")
+
+    decoy_need = [d_star] * m
+    edges = []
+    dj = 0
+    for pi in sorted(range(n), key=lambda i: (-deficiencies[i], i)):
+        for _ in range(deficiencies[pi]):
+            edges.append((pi, n + dj))
+            decoy_need[dj] -= 1
+            dj = (dj + 1) % m
+
+    def rank(decoys):
+        return sorted((dj for dj in decoys if decoy_need[dj] > 0), key=lambda dj: (-decoy_need[dj], dj))
+
+    live = rank(range(m))
+    while live:
+        u, rest = live[0], live[1:]
+        partners = rest[: decoy_need[u]]
+        if len(partners) < decoy_need[u]:
+            raise RuntimeError("decoy placement stalled with unmet decoy deficiencies")
+        for v in partners:
+            edges.append((n + min(u, v), n + max(u, v)))
+            decoy_need[v] -= 1
+        decoy_need[u] = 0
+        live = rank(rest)
+
+    final = list(degrees) + [0] * m
+    for u, v in edges:
+        final[u] += 1
+        final[v] += 1
+    if any(d != d_star for d in final):
+        raise RuntimeError("regularization produced a non-regular graph")
+    return scheme3.RegularizationPlan(
+        d_star=d_star,
+        m=m,
+        deficiencies=tuple(deficiencies),
+        total_deficiency=s,
+        decoy_edges=tuple(sorted(edges)),
+    )
+
+
+# m far above d*, where phase 2 links most of the decoys among themselves
+@pytest.mark.parametrize("degrees, d_star, m", [
+    ((1, 2, 1), 2, 1000),
+    ((1, 2, 1), 2, 4000),
+    ((2, 2, 2, 1, 1), 2, 2501),
+    ((3, 1, 1, 1, 2, 2), 5, 1500),
+])
+def test_merged_placement_matches_the_resorting_one_at_large_m(degrees, d_star, m):
+    assert regular_edge_set(degrees, d_star, m) == _resorting_edge_set(degrees, d_star, m)

@@ -17,8 +17,10 @@ then one list of items per entry of ``SECTIONS``, in its order:
 
 * ``tables``: ``energy_table`` on seeded random Ising and QUBO models
   (n <= 12, plus 200 more with 11 <= n <= 18 so that both sides of the
-  2^10-entry tile width are covered; coefficient scales 1e-12 to 1e12,
-  offsets up to 1e10), hashing each table's bytes;
+  2^10-entry tile width and the 2^16-entry block width are covered, and
+  12 more with 19 <= n <= 22, tables of 8 to 64 blocks; coefficient
+  scales 1e-12 to 1e12, offsets up to 1e10), hashing each table's
+  bytes;
 * ``encrypts``: ``encrypt2``/``encrypt3`` called directly on seeded
   random Ising models, with the settings the command-line mixes never
   use (``kmax_out``/``kmax_in`` > 1, ``preserve`` roulette, a
@@ -109,6 +111,7 @@ import numpy as np
 
 PIPELINES = {"exact-verify": 30, "qaoa-decode": 12, "client-large": 6}
 WIDE_MODELS = 200  # tables with 11 <= n <= 18, after the --models ones
+WIDER_MODELS = 12  # tables with 19 <= n <= 22 (8 to 64 blocks), after those
 ENCRYPTS = 400  # library-level encryptions
 EVALUATED_MODELS = 300  # models whose scalar energies and graph are hashed
 CONFIGS = 16  # sampled configurations per evaluated model
@@ -212,7 +215,8 @@ def _table_outputs(seed: int, models: int) -> list:
 
     small = _random_models(models, seed)
     wide = _random_models(WIDE_MODELS, [seed, 1], min_n=11, max_n=18)
-    return [_digest(energy_table(m).tobytes()) for m in itertools.chain(small, wide)]
+    wider = _random_models(WIDER_MODELS, [seed, 18], min_n=19, max_n=22)
+    return [_digest(energy_table(m).tobytes()) for m in itertools.chain(small, wide, wider)]
 
 
 def _encrypt_outputs(seed: int, models: int) -> list:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -41,13 +42,13 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-WORKERS = _usable_cpus()  # threads that fill a table of more than one block
+WORKERS = _usable_cpus()  # threads, the caller's included, that fill a multi-block table
 
 
 @cache
 def _pool() -> ThreadPoolExecutor:
-    """The energy table's thread pool, started by the first table of more than one block."""
-    return ThreadPoolExecutor(WORKERS, thread_name_prefix="energy_table")
+    """The energy table's helper threads, started by the first table of more than one block."""
+    return ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="energy_table")
 
 
 # a forked child inherits the pool but none of its threads, so work sent
@@ -165,11 +166,14 @@ def energy_table(model: Model, include_offset: bool = True) -> np.ndarray:
     so table entries are bit-identical to per-configuration
     :func:`eval_ising` / :func:`eval_qubo` calls, whatever B and K are.
 
-    A table of more than one block is split into ``WORKERS`` disjoint
-    runs of blocks, filled in parallel on one thread pool, started on
-    first use (numpy releases the interpreter lock during the in-place
-    adds).  No two runs touch the same entry, so the bytes do not
-    depend on the split either.  A one-block table is filled inline.
+    A table of more than one block is filled by the calling thread and
+    up to ``WORKERS - 1`` helpers from one thread pool, started on first
+    use, each taking the next unfilled block until none is left (numpy
+    releases the interpreter lock during the in-place adds, and a
+    thread whose core is busy just fills fewer blocks).  Each block is
+    filled by one thread, so the bytes do not depend on which thread
+    that is either.  A one-block table is filled by the calling thread
+    alone.
     """
     n = model.n
     if n > BRUTE_FORCE_CAP:
@@ -179,8 +183,16 @@ def energy_table(model: Model, include_offset: bool = True) -> np.ndarray:
     blocks = e.reshape(-1, 1 << b)
     passes = _block_passes(model, b)
 
-    def fill(numbers):
-        for number in numbers:
+    numbers = iter(range(len(blocks)))
+    lock = threading.Lock()
+
+    def fill():
+        # fills blocks until none is left; each block number is handed out once
+        while True:
+            with lock:
+                number = next(numbers, None)
+            if number is None:
+                return
             block = blocks[number]
             for shape, selection, vectors, fixed, coefficients in passes:
                 key = 0
@@ -195,13 +207,12 @@ def energy_table(model: Model, include_offset: bool = True) -> np.ndarray:
             if include_offset:
                 block += model.offset
 
-    count = len(blocks)
-    runs = min(WORKERS, count)
-    if runs == 1:
-        fill(range(count))
-    else:
-        parts = [range(r * count // runs, (r + 1) * count // runs) for r in range(runs)]
-        list(_pool().map(fill, parts))  # reads every result, so a worker's error is raised
+    helpers = [_pool().submit(fill) for _ in range(min(WORKERS, len(blocks)) - 1)]
+    try:
+        fill()
+    finally:
+        for helper in helpers:  # reads every result, so a helper's error is raised
+            helper.result()
     return e
 
 

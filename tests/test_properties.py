@@ -178,7 +178,7 @@ def _without_linear_terms(model):
 
 
 # n > BLOCK_BITS reaches the terms on bits at or above the block width,
-# and the tables split over the thread pool
+# and the tables filled by more than one thread
 @settings(max_examples=12, deadline=None)
 @given(multi_block_models())
 def test_multi_block_table_matches_untiled_reference(model):

@@ -8,9 +8,6 @@ problem-size cap is n <= 24.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -33,28 +30,6 @@ BLOCK_BITS = 16
 # tile vectors each pass computes stay at an eighth of the block.  In a
 # smaller table shorter rows keep those vectors cheap to compute
 TILE_BITS = 10
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-WORKERS = _usable_cpus()  # threads, the caller's included, that fill a multi-block table
-
-
-@cache
-def _pool() -> ThreadPoolExecutor:
-    """The energy table's helper threads, started by the first table of more than one block."""
-    return ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="energy_table")
-
-
-# a forked child inherits the pool but none of its threads, so work sent
-# to it would wait for ever: the child starts its own
-if hasattr(os, "register_at_fork"):  # no fork, and no such call, on Windows
-    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 @dataclass(frozen=True)
@@ -166,14 +141,7 @@ def energy_table(model: Model, include_offset: bool = True) -> np.ndarray:
     so table entries are bit-identical to per-configuration
     :func:`eval_ising` / :func:`eval_qubo` calls, whatever B and K are.
 
-    A table of more than one block is filled by the calling thread and
-    up to ``WORKERS - 1`` helpers from one thread pool, started on first
-    use, each taking the next unfilled block until none is left (numpy
-    releases the interpreter lock during the in-place adds, and a
-    thread whose core is busy just fills fewer blocks).  Each block is
-    filled by one thread, so the bytes do not depend on which thread
-    that is either.  A one-block table is filled by the calling thread
-    alone.
+    Every block is filled by the caller, in order.
     """
     n = model.n
     if n > BRUTE_FORCE_CAP:
@@ -182,37 +150,19 @@ def energy_table(model: Model, include_offset: bool = True) -> np.ndarray:
     e = np.zeros(1 << n)
     blocks = e.reshape(-1, 1 << b)
     passes = _block_passes(model, b)
-
-    numbers = iter(range(len(blocks)))
-    lock = threading.Lock()
-
-    def fill():
-        # fills blocks until none is left; each block number is handed out once
-        while True:
-            with lock:
-                number = next(numbers, None)
-            if number is None:
-                return
-            block = blocks[number]
-            for shape, selection, vectors, fixed, coefficients in passes:
-                key = 0
-                for t, bit in enumerate(fixed):
-                    key |= (number >> bit & 1) << t
-                op = coefficients[key]
-                if op:
-                    for vector in vectors:  # made per pass, so it is still in cache
-                        op = op * vector
-                    view = block.reshape(shape)[selection]
-                    view += op  # not `block...[selection] += op`, whose store copies again
-            if include_offset:
-                block += model.offset
-
-    helpers = [_pool().submit(fill) for _ in range(min(WORKERS, len(blocks)) - 1)]
-    try:
-        fill()
-    finally:
-        for helper in helpers:  # reads every result, so a helper's error is raised
-            helper.result()
+    for number, block in enumerate(blocks):
+        for shape, selection, vectors, fixed, coefficients in passes:
+            key = 0
+            for t, bit in enumerate(fixed):
+                key |= (number >> bit & 1) << t
+            op = coefficients[key]
+            if op:
+                for vector in vectors:  # made per pass, so it is still in cache
+                    op = op * vector
+                view = block.reshape(shape)[selection]
+                view += op  # not `block...[selection] += op`, whose store copies again
+        if include_offset:
+            block += model.offset
     return e
 
 

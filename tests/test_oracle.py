@@ -248,10 +248,7 @@ def test_metrics_match_the_per_outcome_ranking_under_ties(seed):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_builds_a_multi_block_table(monkeypatch):
-    # the parent's table starts the pool; a child that reused it would
-    # wait for ever on threads that did not survive the fork
-    monkeypatch.setattr(oracle, "WORKERS", max(2, oracle.WORKERS))
+def test_forked_child_builds_a_multi_block_table():
     model = generate("sk", oracle.BLOCK_BITS + 4)
     expected = energy_table(model).tobytes()
     pid = os.fork()

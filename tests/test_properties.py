@@ -3,8 +3,6 @@ over random sizes, scales, offsets and densities."""
 
 import json
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +28,6 @@ from isingcloak import (
     minimal_decoy_count,
     problem_graph,
 )
-from isingcloak import oracle
 from isingcloak.oracle import BLOCK_BITS, TILE_BITS
 from isingcloak.scheme1 import key1_from_dict, key1_to_dict
 from isingcloak.scheme2 import key2_from_dict, key2_to_dict
@@ -177,8 +174,8 @@ def _without_linear_terms(model):
     return replace(model, A={(i, j): v for (i, j), v in model.A.items() if i != j})
 
 
-# n > BLOCK_BITS reaches the terms on bits at or above the block width,
-# and the tables filled by more than one thread
+# n > BLOCK_BITS makes tables of more than one block, which reach the
+# terms on bits at or above the block width
 @settings(max_examples=12, deadline=None)
 @given(multi_block_models())
 def test_multi_block_table_matches_untiled_reference(model):
@@ -187,25 +184,6 @@ def test_multi_block_table_matches_untiled_reference(model):
     free = energy_table(model, include_offset=False)
     for t in (table, free):
         assert not np.signbit(t[t == 0.0]).any()  # no -0.0, which the QAOA levels rely on
-
-
-# more threads than cores, switching often: a block handed out twice or
-# never would change the bytes
-@settings(max_examples=8, deadline=None)
-@given(multi_block_models(), st.sampled_from([1, 3, 5]))
-def test_multi_block_table_bytes_do_not_depend_on_the_worker_count(model, workers):
-    expected = energy_table(model).tobytes()
-    pool = ThreadPoolExecutor(workers)
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-5)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracle, "WORKERS", workers)
-            patch.setattr(oracle, "_pool", lambda: pool)
-            assert energy_table(model).tobytes() == expected
-    finally:
-        sys.setswitchinterval(interval)
-        pool.shutdown()
 
 
 @settings(max_examples=80, deadline=None)

@@ -70,17 +70,26 @@ def _write_outputs(outputs: list, command: str, digests: dict, seed) -> None:
     never holds a partial file and a failure leaves later outputs
     absent rather than stale.  Renaming onto a free name also avoids
     the flush that truncating or replacing an existing file costs.
+    Every target and temporary must be a file of its own, or one write
+    would unlink or rename another's: a collision is rejected before
+    anything is written.
     """
     manifest = dumps(
         {"command": command, "inputs": digests, "seed": seed, "version": __version__}
     )
+    files = []
+    for path, payload in outputs:
+        files += [(path, dumps(payload)), (path + ".manifest.json", manifest)]
+    names = [os.path.abspath(name) for target, _ in files for name in (target, target + ".tmp")]
+    if len(set(names)) < len(names):
+        raise ValueError("outputs collide: every output, its manifest and their .tmp "
+                         "files must name different files")
     staged = []
     try:
-        for path, payload in outputs:
-            for target, text in ((path, dumps(payload)), (path + ".manifest.json", manifest)):
-                tmp = target + ".tmp"
-                staged.append((tmp, target))
-                Path(tmp).write_text(text, encoding="utf-8")
+        for target, text in files:
+            tmp = target + ".tmp"
+            staged.append((tmp, target))
+            Path(tmp).write_text(text, encoding="utf-8")
         for _, target in reversed(staged):
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(target)
@@ -109,8 +118,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_encrypt(args) -> int:
-    if os.path.abspath(args.out) == os.path.abspath(args.key_out):
-        raise ValueError("--out and --key-out must name different files")
     if args.tau is not None and args.scheme != "I":
         raise ValueError("--tau applies to scheme I only")
     if args.d_star is not None and args.scheme != "III":

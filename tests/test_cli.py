@@ -253,6 +253,24 @@ def test_encrypt_rejects_one_file_for_problem_and_key(tmp_path, capsys):
     assert not e.exists()
 
 
+# one output's manifest or temporary named as another output: the write
+# would unlink or rename the other's files after placing some of them
+@pytest.mark.parametrize("out,key_out", [
+    ("e.json", "e.json.manifest.json"),
+    ("e.json.manifest.json", "e.json"),
+    ("e.json", "e.json.tmp"),
+])
+def test_encrypt_rejects_colliding_output_files(tmp_path, capsys, out, key_out):
+    p = tmp_path / "p.json"
+    run("gen", "--family", "sk", "--n", 4, "--seed", 1, "--out", p)
+    capsys.readouterr()
+    assert run("encrypt", "--problem", p, "--scheme", "I", "--seed", 2,
+               "--out", tmp_path / out, "--key-out", tmp_path / key_out) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and json.loads(err)["type"] == "ValueError"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["p.json", "p.json.manifest.json"]
+
+
 def test_encrypt2_all_zero_model_is_a_one_line_error(tmp_path, capsys):
     p, e, k = tmp_path / "p.json", tmp_path / "e.json", tmp_path / "k.json"
     p.write_text(json.dumps({"n": 3, "h": [0.0, 0.0, 0.0], "J": [], "offset": 1.0}))

@@ -68,32 +68,28 @@ def _tiles(levels: tuple, k: int) -> list:
 def _block_passes(model: Model, b: int) -> list:
     """Each term's in-place pass over one block of 2^b table entries.
 
-    A pass is ``(shape, selection, vectors, fixed, coefficients)``: the
-    block seen as ``shape`` and indexed by ``selection`` receives
-    ``coefficients[key]`` times each of the level ``vectors`` of the
-    term's bits below b, where bit t of ``key`` is bit ``fixed[t]`` of
-    the block's number, the term's bits at or above b.  A zero
-    coefficient (a bit fixed at level 0) skips the pass.
+    A pass is ``(shape, vectors, fixed, coefficients)``: the block seen
+    as ``shape`` receives ``coefficients[key]`` times each of the level
+    ``vectors`` of the term's bits below b, where bit t of ``key`` is
+    bit ``fixed[t]`` of the block's number, the term's bits at or above
+    b.
     """
     k = min(b, max(TILE_BITS, b - 3))
     tiles = _tiles(model.levels, k)
-    lo = 0 if model.levels[0] else 1
-    high = np.array(model.levels[lo:])  # the levels a pass on a bit >= k must touch
-    upper = (slice(None), slice(lo, None))
+    levels = np.array(model.levels)
     rows = (-1, 1 << k)
-    column, column3 = high[:, None], high[:, None, None]
-    pair = np.multiply.outer(high, high)[:, None, :, None]
-    whole = ((-1,), ..., ())
+    column, column3 = levels[:, None], levels[:, None, None]
+    pair = np.multiply.outer(levels, levels)[:, None, :, None]
 
     def layout(i, j):
-        # shape, selection and level vectors of a pass over block bits i <= j
+        # shape and level vectors of a pass over block bits i <= j
         if j < k:
-            return rows, ..., (tiles[i],) if i == j else (tiles[i], tiles[j])
+            return rows, (tiles[i],) if i == j else (tiles[i], tiles[j])
         if i == j:
-            return (-1, 2, 1 << i), upper, (column,)
+            return (-1, 2, 1 << i), (column,)
         if i < k:
-            return (-1, 2, 1 << (j - k), 1 << k), upper, (column3, tiles[i])
-        return (-1, 2, 1 << (j - i - 1), 2, 1 << i), upper * 2, (pair,)
+            return (-1, 2, 1 << (j - k), 1 << k), (column3, tiles[i])
+        return (-1, 2, 1 << (j - i - 1), 2, 1 << i), (pair,)
 
     l0, l1 = model.levels
     passes = []
@@ -103,10 +99,10 @@ def _block_passes(model: Model, b: int) -> list:
         elif i < b:  # bit j fixed by the block
             passes.append((*layout(i, i), (j - b,), (v * l0, v * l1)))
         elif i == j:
-            passes.append((*whole, (i - b,), (v * l0, v * l1)))
+            passes.append(((-1,), (), (i - b,), (v * l0, v * l1)))
         else:  # key bit 0 is bit i, key bit 1 bit j
             products = (l0 * l0, l1 * l0, l0 * l1, l1 * l1)
-            passes.append((*whole, (i - b, j - b), tuple(v * f for f in products)))
+            passes.append(((-1,), (), (i - b, j - b), tuple(v * f for f in products)))
     return passes
 
 
@@ -133,13 +129,13 @@ def energy_table(model: Model, include_offset: bool = True) -> np.ndarray:
       coefficient v * levels[bit j], and a term with every bit >= B
       adds its one value to the whole block.
 
-    Where ``levels[0]`` is 0 a term adds a no-op +-0.0 at bit 0 (an
-    entry is never -0.0), so a bit axis at or above K keeps only its
-    bit-1 half, and a block whose fixed bits put the term at 0 skips
-    it.  Every entry receives the same float additions of exact products
-    of v and levels, in the same term order, as the scalar evaluators,
-    so table entries are bit-identical to per-configuration
-    :func:`eval_ising` / :func:`eval_qubo` calls, whatever B and K are.
+    At a bit-0 level of 0 a term adds +-0.0, which leaves the entry
+    unchanged, so an entry is never -0.0 (``qaoa._phase_energies``
+    relies on that).  Every entry receives the same float additions of
+    exact products of v and levels, in the same term order, as the
+    scalar evaluators, so table entries are bit-identical to
+    per-configuration :func:`eval_ising` / :func:`eval_qubo` calls,
+    whatever B and K are.
 
     Every block is filled by the caller, in order.
     """
@@ -151,16 +147,15 @@ def energy_table(model: Model, include_offset: bool = True) -> np.ndarray:
     blocks = e.reshape(-1, 1 << b)
     passes = _block_passes(model, b)
     for number, block in enumerate(blocks):
-        for shape, selection, vectors, fixed, coefficients in passes:
+        for shape, vectors, fixed, coefficients in passes:
             key = 0
             for t, bit in enumerate(fixed):
                 key |= (number >> bit & 1) << t
             op = coefficients[key]
-            if op:
-                for vector in vectors:  # made per pass, so it is still in cache
-                    op = op * vector
-                view = block.reshape(shape)[selection]
-                view += op  # not `block...[selection] += op`, whose store copies again
+            for vector in vectors:  # made per pass, so it is still in cache
+                op = op * vector
+            view = block.reshape(shape)
+            view += op
         if include_offset:
             block += model.offset
     return e
@@ -205,10 +200,11 @@ def _top_k_expectation(dist: OutcomeDistribution, model: Model, global_min: floa
     # one evaluator call on the (N, n) matrix of all outcomes, rows in
     # the distribution's bitstring order
     x = bitstrings_to_array(list(dist.weights), dist.n)
+    values = np.asarray(model.levels)[x]
     if isinstance(model, IsingModel):
-        e = eval_ising(model, 2 * x.astype(np.int8) - 1)
+        e = eval_ising(model, values)
     else:
-        e = eval_qubo(model, x)
+        e = eval_qubo(model, values)
     w = np.fromiter(dist.weights.values(), np.float64, len(x))
     # rank by weight desc, then energy asc; the stable sort leaves ties
     # in bitstring order.  The expectation is normalized by the selected

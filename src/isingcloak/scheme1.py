@@ -70,15 +70,16 @@ def encrypt1(model: IsingModel, key: KeyI) -> IsingModel:
     """Cipher a model's coefficients under ``key``.
 
     Signs toggle exactly for terms touching the target set an odd
-    number of times, then everything scales by tau.  The offset of the
-    returned model is zero: it carries no optimization information and
-    is kept in client metadata instead.
+    number of times, then everything scales by tau.  A zero linear term
+    comes out as +0.0 whatever T says, since the sign of a zero would
+    disclose T.  The offset of the returned model is zero: it carries no
+    optimization information and is kept in client metadata instead.
     """
     if key.n != model.n:
         raise ValueError(f"key is for n={key.n}, model has n={model.n}")
     T = key.targets
     h = tuple(
-        key.tau * (-hi if i in T else hi) for i, hi in enumerate(model.h)
+        key.tau * (-hi if i in T else hi) if hi else 0.0 for i, hi in enumerate(model.h)
     )
     J = {}
     for (i, j), v in model.J.items():

@@ -1,9 +1,11 @@
 """End-to-end command-line workflows."""
 
 import json
+import math
 
 import pytest
 
+from isingcloak.benchmarks import FAMILIES
 from isingcloak.cli import main
 
 
@@ -406,3 +408,18 @@ def test_stats_on_an_encrypted_space_distribution_names_both_lengths(tmp_path, c
     assert run("stats", "--key", k, "--problem", p, "--dist", d) == 1
     payload = json.loads(capsys.readouterr().err)
     assert payload == {"type": "ValueError", "error": "distribution has n=10, model has n=8"}
+
+
+@pytest.mark.parametrize("scheme,extra", [("I", []), ("II", ["--m", "2"]), ("III", [])])
+def test_encrypted_zeros_carry_no_sign(tmp_path, scheme, extra):
+    # a -0.0 in the disclosed h would mark its index as a flip target
+    for family in FAMILIES:
+        p, e, k = (tmp_path / f"{family}{x}" for x in ("p.json", "e.json", "k.json"))
+        assert run("gen", "--family", family, "--n", 8, "--seed", 1, "--out", p) == 0
+        assert run(
+            "encrypt", "--problem", p, "--scheme", scheme, "--seed", 2,
+            "--out", e, "--key-out", k, *extra,
+        ) == 0
+        h = read(e)["h"]
+        assert not any(v == 0.0 and math.copysign(1.0, v) < 0 for v in h), (family, h)
+        assert "-0.0" not in e.read_text()

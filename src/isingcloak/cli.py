@@ -183,6 +183,8 @@ def cmd_verify(args) -> int:
     model = ising_from_dict(_read_json(args.problem))
     dist = distribution_from_dict(_read_json(args.dist))
     key = _load_key(args.key)
+    if key.n != model.n:
+        raise ValueError(f"key is for n={key.n}, problem has n={model.n}")
     decoded = _decrypt_any(dist, key)
     truth = brute_force(model).argmin_set
     if decoded.support != truth:

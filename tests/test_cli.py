@@ -71,6 +71,18 @@ def test_verify_with_wrong_key_fails(tmp_path, capsys):
     assert json.loads(err)["type"] == "VerificationError"
 
 
+def test_verify_with_a_key_for_another_size_names_both_sizes(tmp_path, capsys):
+    p6, p7, e, k, d = (tmp_path / x for x in ("p6.json", "p7.json", "e.json", "k.json", "d.json"))
+    run("gen", "--family", "ba2", "--n", 6, "--seed", 1, "--out", p6)
+    run("gen", "--family", "ba2", "--n", 7, "--seed", 1, "--out", p7)
+    run("encrypt", "--problem", p7, "--scheme", "I", "--seed", 2, "--out", e, "--key-out", k)
+    run("solve", "--problem", e, "--method", "brute", "--out", d)
+    capsys.readouterr()
+    assert run("verify", "--problem", p6, "--key", k, "--dist", d) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload == {"type": "ValueError", "error": "key is for n=7, problem has n=6"}
+
+
 def test_stats_reports_attack_complexity(tmp_path, capsys):
     import math
 

@@ -84,8 +84,6 @@ def test_verify_with_a_key_for_another_size_names_both_sizes(tmp_path, capsys):
 
 
 def test_stats_reports_attack_complexity(tmp_path, capsys):
-    import math
-
     p, e, k = tmp_path / "p.json", tmp_path / "e.json", tmp_path / "k.json"
     run("gen", "--family", "sk", "--n", 3, "--seed", 1, "--out", p)
     run("encrypt", "--problem", p, "--scheme", "II", "--m", 1, "--seed", 2,

@@ -68,11 +68,12 @@ def _tiles(levels: tuple, k: int) -> list:
 def _block_passes(model: Model, b: int) -> list:
     """Each term's in-place pass over one block of 2^b table entries.
 
-    A pass is ``(shape, vectors, fixed, coefficients)``: the block seen
-    as ``shape`` receives ``coefficients[key]`` times each of the level
-    ``vectors`` of the term's bits below b, where bit t of ``key`` is
-    bit ``fixed[t]`` of the block's number, the term's bits at or above
-    b.
+    A pass is ``(shape, vectors, high, v)``.  The term's bits at or
+    above b are fixed by the block's number: ``high`` lists them minus
+    b, and the pass scales v by their levels.  The block seen as
+    ``shape`` then receives that coefficient times each of the level
+    ``vectors`` of the term's bits below b, or the coefficient alone
+    when it has none.
     """
     k = min(b, max(TILE_BITS, b - 3))
     tiles = _tiles(model.levels, k)
@@ -91,18 +92,13 @@ def _block_passes(model: Model, b: int) -> list:
             return (-1, 2, 1 << (j - k), 1 << k), (column3, tiles[i])
         return (-1, 2, 1 << (j - i - 1), 2, 1 << i), (pair,)
 
-    l0, l1 = model.levels
     passes = []
     for i, j, v in model.terms():
-        if j < b:
-            passes.append((*layout(i, j), (), (v,)))
-        elif i < b:  # bit j fixed by the block
-            passes.append((*layout(i, i), (j - b,), (v * l0, v * l1)))
-        elif i == j:
-            passes.append(((-1,), (), (i - b,), (v * l0, v * l1)))
-        else:  # key bit 0 is bit i, key bit 1 bit j
-            products = (l0 * l0, l1 * l0, l0 * l1, l1 * l1)
-            passes.append(((-1,), (), (i - b, j - b), tuple(v * f for f in products)))
+        bits = (i,) if i == j else (i, j)
+        low = [t for t in bits if t < b]
+        high = tuple(t - b for t in bits if t >= b)
+        shape, vectors = layout(low[0], low[-1]) if low else ((-1,), ())
+        passes.append((shape, vectors, high, v))
     return passes
 
 
@@ -124,10 +120,10 @@ def energy_table(model: Model, include_offset: bool = True) -> np.ndarray:
       vector of bit i along the bit-j axis, for each bit-j value b;
     * a term on bits K <= i <= j < B adds a 2- or 2x2-entry block of v
       times levels along the bit-i (and bit-j) axes;
-    * a term on a bit j >= B is fixed by the block's number there: a
-      pair with i < B makes the pass of a linear term on bit i with
-      coefficient v * levels[bit j], and a term with every bit >= B
-      adds its one value to the whole block.
+    * a term's bits at or above B are fixed by the block's number: v
+      is multiplied by their levels, and the pass is that of the
+      term's bits below B, or adds the one value to the whole block
+      when there are none.
 
     At a bit-0 level of 0 a term adds +-0.0, which leaves the entry
     unchanged, so an entry is never -0.0 (``qaoa._phase_energies``
@@ -136,8 +132,6 @@ def energy_table(model: Model, include_offset: bool = True) -> np.ndarray:
     scalar evaluators, so table entries are bit-identical to
     per-configuration :func:`eval_ising` / :func:`eval_qubo` calls,
     whatever B and K are.
-
-    Every block is filled by the caller, in order.
     """
     n = model.n
     if n > BRUTE_FORCE_CAP:
@@ -146,12 +140,11 @@ def energy_table(model: Model, include_offset: bool = True) -> np.ndarray:
     e = np.zeros(1 << n)
     blocks = e.reshape(-1, 1 << b)
     passes = _block_passes(model, b)
+    levels = model.levels
     for number, block in enumerate(blocks):
-        for shape, vectors, fixed, coefficients in passes:
-            key = 0
-            for t, bit in enumerate(fixed):
-                key |= (number >> bit & 1) << t
-            op = coefficients[key]
+        for shape, vectors, high, op in passes:
+            for bit in high:
+                op = op * levels[number >> bit & 1]
             for vector in vectors:  # made per pass, so it is still in cache
                 op = op * vector
             view = block.reshape(shape)

@@ -17,7 +17,9 @@ cipher, the permutation and the projection.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -62,6 +64,14 @@ class RouletteWheel:
             raise ValueError(f"unknown roulette mode {self.mode!r}")
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "sector_weights", weights)
+
+    @cached_property
+    def cdf(self) -> list:
+        """Cumulative sector probabilities, formed as ``Generator.choice(p=...)`` forms them."""
+        w = np.asarray(self.sector_weights)
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        return cdf.tolist()
 
 
 @dataclass(frozen=True)
@@ -173,13 +183,14 @@ def sample_weight(wheel: RouletteWheel, rng=None) -> float:
     Picks a bin with probability proportional to its sector weight and
     samples uniformly within it; draws at or below zero (possible only
     when the lowest edge is not positive) are clamped to half the bin
-    width.
+    width.  The draw takes the same two doubles, with the same results,
+    as ``rng.choice(len(weights), p=weights / weights.sum())`` followed
+    by ``rng.uniform(lo, hi)``, without rebuilding the CDF each time.
     """
     rng = as_rng(rng)
-    weights = np.asarray(wheel.sector_weights)
-    k = int(rng.choice(len(weights), p=weights / weights.sum()))
+    k = bisect_right(wheel.cdf, rng.random())
     lo, hi = wheel.bin_edges[k], wheel.bin_edges[k + 1]
-    w = float(rng.uniform(lo, hi))
+    w = lo + (hi - lo) * rng.random()
     if w <= 0.0:
         w = 0.5 * (hi - lo)
     return w

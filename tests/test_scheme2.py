@@ -102,6 +102,35 @@ class TestSampleWeight:
         rng = np.random.default_rng(33)
         assert all(sample_weight(wheel, rng) > 0.0 for _ in range(10_000))
 
+    def test_matches_choice_then_uniform(self):
+        # the cached CDF draws exactly what rng.choice(p=...) and
+        # rng.uniform draw, and leaves the generator in the same state
+        def reference(wheel, rng):
+            weights = np.asarray(wheel.sector_weights)
+            k = int(rng.choice(len(weights), p=weights / weights.sum()))
+            lo, hi = wheel.bin_edges[k], wheel.bin_edges[k + 1]
+            w = float(rng.uniform(lo, hi))
+            return 0.5 * (hi - lo) if w <= 0.0 else w
+
+        source = np.random.default_rng(36)
+        wheels = [build_roulette([2.5, 2.5, -2.5], bins=3), build_roulette([0.0, 0.0], bins=4)]
+        for bins in range(1, 15):
+            for mode in ("preserve", "inverse"):
+                coeffs = source.normal(size=int(source.integers(1, 40))) * 10.0 ** source.integers(-6, 7)
+                wheels.append(build_roulette(coeffs.tolist(), bins=bins, mode=mode))
+        for seed, wheel in enumerate(wheels):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = [sample_weight(wheel, rng).hex() for _ in range(200)]
+            assert got == [reference(wheel, ref).hex() for _ in range(200)]
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_cdf_is_not_a_field(self):
+        wheel = build_roulette([1.0, 2.0, 3.0], bins=3)
+        before = repr(wheel)
+        sample_weight(wheel, np.random.default_rng(0))
+        assert repr(wheel) == before
+        assert wheel == RouletteWheel(wheel.bin_edges, wheel.sector_weights, wheel.mode)
+
 
 class TestEmbedDecoys:
     def test_minimal_counts(self):

@@ -107,6 +107,11 @@ def _load_key(path: str, digests: dict | None = None):
     return key1_from_dict(data) if key_scheme(data) == "I" else key2_from_dict(data)
 
 
+def _check_key_size(key, model) -> None:
+    if key.n != model.n:
+        raise ValueError(f"key is for n={key.n}, problem has n={model.n}")
+
+
 def _decrypt_any(dist: OutcomeDistribution, key) -> OutcomeDistribution:
     return decrypt1(dist, key) if isinstance(key, KeyI) else decrypt2(dist, key)
 
@@ -183,8 +188,7 @@ def cmd_verify(args) -> int:
     model = ising_from_dict(_read_json(args.problem))
     dist = distribution_from_dict(_read_json(args.dist))
     key = _load_key(args.key)
-    if key.n != model.n:
-        raise ValueError(f"key is for n={key.n}, problem has n={model.n}")
+    _check_key_size(key, model)
     decoded = _decrypt_any(dist, key)
     truth = brute_force(model).argmin_set
     if decoded.support != truth:
@@ -209,6 +213,7 @@ def cmd_stats(args) -> int:
     payload = {"scheme": scheme, "n": key.n, "m": m, "attack_complexity_log2": complexity}
     if args.problem is not None:
         model = ising_from_dict(_read_json(args.problem))
+        _check_key_size(key, model)
         dist = distribution_from_dict(_read_json(args.dist))
         gmin = brute_force(model).global_min
         payload["global_min"] = gmin

@@ -83,6 +83,23 @@ def test_verify_with_a_key_for_another_size_names_both_sizes(tmp_path, capsys):
     assert payload == {"type": "ValueError", "error": "key is for n=7, problem has n=6"}
 
 
+def test_stats_with_a_key_for_another_size_names_both_sizes(tmp_path, capsys, monkeypatch):
+    p6, p7, e, k, d = (tmp_path / x for x in ("p6.json", "p7.json", "e.json", "k.json", "d.json"))
+    run("gen", "--family", "ba2", "--n", 6, "--seed", 1, "--out", p6)
+    run("gen", "--family", "ba2", "--n", 7, "--seed", 1, "--out", p7)
+    run("encrypt", "--problem", p7, "--scheme", "I", "--seed", 2, "--out", e, "--key-out", k)
+    run("solve", "--problem", p6, "--method", "brute", "--out", d)
+    capsys.readouterr()
+
+    def no_solve(model):
+        raise AssertionError("stats solved before checking the key's size")
+
+    monkeypatch.setattr("isingcloak.cli.brute_force", no_solve)
+    assert run("stats", "--key", k, "--problem", p6, "--dist", d) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload == {"type": "ValueError", "error": "key is for n=7, problem has n=6"}
+
+
 def test_stats_reports_attack_complexity(tmp_path, capsys):
     p, e, k = tmp_path / "p.json", tmp_path / "e.json", tmp_path / "k.json"
     run("gen", "--family", "sk", "--n", 3, "--seed", 1, "--out", p)

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import isingcloak
 from isingcloak.benchmarks import FAMILIES
-from isingcloak.cli import main
+from isingcloak.cli import main, qaoa_sim_main
 
 
 def run(*argv):
@@ -136,6 +141,26 @@ def test_qaoa_sim_subcommand(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["evaluations"] <= 120
     assert read(d)["n"] == 4
+
+
+def test_qaoa_sim_entry_point_matches_the_subcommand(tmp_path, capsys):
+    p = tmp_path / "p.json"
+    run("gen", "--family", "sk", "--n", 4, "--seed", 1, "--out", p)
+    argv = ["--problem", str(p), "--iters", "5", "--shots", "10", "--seed", "1"]
+    capsys.readouterr()
+    assert qaoa_sim_main(argv) == 0
+    direct = capsys.readouterr()
+    assert main(["qaoa-sim", *argv]) == 0
+    assert capsys.readouterr() == direct and direct.out
+
+
+def test_module_entry_point_prints_help():
+    paths = [str(Path(isingcloak.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, "-m", "isingcloak", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "usage:" in done.stdout
 
 
 def test_qaoa_solve_decode(tmp_path):

@@ -60,26 +60,27 @@ def _read_json(path: str, digests: dict | None = None) -> dict:
     return json.loads(data.decode("utf-8"))
 
 
-def _write_outputs(outputs: list, command: str, digests: dict, seed) -> None:
+def _write_outputs(outputs: list, command: str, digests: dict, seed, disclosed=None) -> None:
     """Write each ``(path, payload)`` and its manifest, replacing old files.
 
     ``digests`` maps every input the command read to its SHA-256, in
-    read order.  All files are first written as ``<file>.tmp``.  The
-    old targets are then unlinked, last output first, and the
-    temporaries renamed into place in the order given, so a target
-    never holds a partial file and a failure leaves later outputs
-    absent rather than stale.  Renaming onto a free name also avoids
+    read order.  The manifest of the output at path ``disclosed``, the
+    one handed to the solver, records neither the inputs nor the seed,
+    since either would give the key away.  All files are first written
+    as ``<file>.tmp``.  The old targets are then unlinked, last output
+    first, and the temporaries renamed into place in the order given,
+    so a target never holds a partial file and a failure leaves later
+    outputs absent rather than stale.  Renaming onto a free name also avoids
     the flush that truncating or replacing an existing file costs.
     Every target and temporary must be a file of its own, or one write
     would unlink or rename another's: a collision is rejected before
     anything is written.
     """
-    manifest = dumps(
-        {"command": command, "inputs": digests, "seed": seed, "version": __version__}
-    )
     files = []
     for path, payload in outputs:
-        files += [(path, dumps(payload)), (path + ".manifest.json", manifest)]
+        inputs, replay = ({}, None) if path == disclosed else (digests, seed)
+        manifest = {"command": command, "inputs": inputs, "seed": replay, "version": __version__}
+        files += [(path, dumps(payload)), (path + ".manifest.json", dumps(manifest))]
     names = [os.path.abspath(name) for target, _ in files for name in (target, target + ".tmp")]
     if len(set(names)) < len(names):
         raise ValueError("outputs collide: every output, its manifest and their .tmp "
@@ -153,7 +154,7 @@ def cmd_encrypt(args) -> int:
     key_payload = key1_to_dict(key) if args.scheme == "I" else key2_to_dict(key)
     # the key is placed first, so --out never holds a problem without its key
     outputs = [(args.key_out, key_payload), (args.out, ising_to_dict(encrypted))]
-    _write_outputs(outputs, "encrypt", digests, args.seed)
+    _write_outputs(outputs, "encrypt", digests, args.seed, disclosed=args.out)
     return 0
 
 

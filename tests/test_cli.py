@@ -294,8 +294,25 @@ def test_encrypt_over_its_own_problem_records_the_problem_it_read(tmp_path):
     digest = hashlib.sha256(p.read_bytes()).hexdigest()
     assert run("encrypt", "--problem", p, "--scheme", "I", "--seed", 7,
                "--out", p, "--key-out", k) == 0
-    assert read(tmp_path / "p.json.manifest.json")["inputs"] == {str(p): digest}
+    assert read(tmp_path / "p.json.manifest.json")["inputs"] == {}
     assert read(tmp_path / "k.json.manifest.json")["inputs"] == {str(p): digest}
+
+
+@pytest.mark.parametrize("scheme,extra", [("I", []), ("II", ["--m", "2"]), ("III", [])])
+def test_encrypted_problem_sidecar_holds_no_seed_and_no_input_digest(tmp_path, scheme, extra):
+    import hashlib
+
+    # the seed replays the key, and the digest confirms a guess of the original
+    p, e, k = tmp_path / "p.json", tmp_path / "e.json", tmp_path / "k.json"
+    run("gen", "--family", "ba2", "--n", 7, "--seed", 1, "--out", p)
+    digest = hashlib.sha256(p.read_bytes()).hexdigest()
+    assert run("encrypt", "--problem", p, "--scheme", scheme, "--seed", 2,
+               "--out", e, "--key-out", k, *extra) == 0
+    sidecar = tmp_path / "e.json.manifest.json"
+    assert read(sidecar)["inputs"] == {} and read(sidecar)["seed"] is None
+    assert digest not in e.read_text() and digest not in sidecar.read_text()
+    key_sidecar = read(tmp_path / "k.json.manifest.json")
+    assert key_sidecar["inputs"] == {str(p): digest} and key_sidecar["seed"] == 2
 
 
 def test_encrypt_rejects_one_file_for_problem_and_key(tmp_path, capsys):

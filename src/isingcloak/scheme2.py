@@ -58,6 +58,8 @@ class RouletteWheel:
             raise ValueError("bin_edges must have exactly one more entry than sector_weights")
         if any(b >= a for a, b in zip(edges[1:], edges[:-1])):
             raise ValueError("bin_edges must be strictly ascending")
+        if not math.isfinite(edges[-1] - edges[0]):  # a draw scales the bin width
+            raise ValueError("bin_edges must span a finite range")
         if any(w < 0.0 for w in weights) or sum(weights) <= 0.0:
             raise ValueError("sector weights must be nonnegative with a positive sum")
         if self.mode not in ("preserve", "inverse"):

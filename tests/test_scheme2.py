@@ -116,7 +116,8 @@ class TestSampleWeight:
         wheels = [build_roulette([2.5, 2.5, -2.5], bins=3), build_roulette([0.0, 0.0], bins=4)]
         for bins in range(1, 15):
             for mode in ("preserve", "inverse"):
-                coeffs = source.normal(size=int(source.integers(1, 40))) * 10.0 ** source.integers(-6, 7)
+                scale = 10.0 ** source.integers(-6, 7)
+                coeffs = source.normal(size=int(source.integers(1, 40))) * scale
                 wheels.append(build_roulette(coeffs.tolist(), bins=bins, mode=mode))
         for seed, wheel in enumerate(wheels):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -420,6 +421,12 @@ def test_roulette_wheel_rejects_coercion(value):
         RouletteWheel((0.0, value), (1.0,), "inverse")
     with pytest.raises(ValueError, match="finite real number"):
         RouletteWheel((0.0, 1.0), (value,), "inverse")
+
+
+def test_roulette_wheel_rejects_an_overflowing_span():
+    # every edge is finite, but a draw across them would be inf
+    with pytest.raises(ValueError, match="finite range"):
+        RouletteWheel((-1e308, 1e308), (1.0,), "inverse")
 
 
 @pytest.mark.parametrize("value", COERCED)

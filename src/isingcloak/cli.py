@@ -70,11 +70,11 @@ def _write_outputs(outputs: list, command: str, digests: dict, seed, disclosed=N
     as ``<file>.tmp``.  The old targets are then unlinked, last output
     first, and the temporaries renamed into place in the order given,
     so a target never holds a partial file and a failure leaves later
-    outputs absent rather than stale.  Renaming onto a free name also avoids
-    the flush that truncating or replacing an existing file costs.
-    Every target and temporary must be a file of its own, or one write
-    would unlink or rename another's: a collision is rejected before
-    anything is written.
+    outputs absent rather than stale.  Renaming onto a free name also
+    avoids the flush that truncating or replacing an existing file
+    costs.  Every target and temporary must be a file of its own, or one
+    write would unlink or rename another's: a collision is rejected
+    before anything is written.
     """
     files = []
     for path, payload in outputs:

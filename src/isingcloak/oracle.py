@@ -68,37 +68,34 @@ def _tiles(levels: tuple, k: int) -> list:
 def _block_passes(model: Model, b: int) -> list:
     """Each term's in-place pass over one block of 2^b table entries.
 
-    A pass is ``(shape, vectors, high, v)``.  The term's bits at or
-    above b are fixed by the block's number: ``high`` lists them minus
-    b, and the pass scales v by their levels.  The block seen as
-    ``shape`` then receives that coefficient times each of the level
-    ``vectors`` of the term's bits below b, or the coefficient alone
-    when it has none.
+    A pass is ``(shape, vectors, high, v)``, built from the term's bits
+    in ascending order, each of which contributes one level factor.  A
+    bit at or above b is fixed by the block's number: ``high`` lists it
+    minus b, and the pass scales v by its level.  A bit below the tile
+    width k contributes its tile vector over the last axis of
+    ``shape``, which is always one tile of 2^k entries.  A bit t with
+    k <= t < b puts a length-2 axis for itself, and one for the bits
+    between it and the previous such bit, in front of ``shape``, and
+    contributes ``levels`` as a column along that axis.  The block seen
+    as ``shape`` receives v times every vector; the columns come first,
+    since a 2-entry product costs less than a tile's.
     """
     k = min(b, max(TILE_BITS, b - 3))
     tiles = _tiles(model.levels, k)
     levels = np.array(model.levels)
-    rows = (-1, 1 << k)
-    column, column3 = levels[:, None], levels[:, None, None]
-    pair = np.multiply.outer(levels, levels)[:, None, :, None]
-
-    def layout(i, j):
-        # shape and level vectors of a pass over block bits i <= j
-        if j < k:
-            return rows, (tiles[i],) if i == j else (tiles[i], tiles[j])
-        if i == j:
-            return (-1, 2, 1 << i), (column,)
-        if i < k:
-            return (-1, 2, 1 << (j - k), 1 << k), (column3, tiles[i])
-        return (-1, 2, 1 << (j - i - 1), 2, 1 << i), (pair,)
-
     passes = []
     for i, j, v in model.terms():
-        bits = (i,) if i == j else (i, j)
-        low = [t for t in bits if t < b]
-        high = tuple(t - b for t in bits if t >= b)
-        shape, vectors = layout(low[0], low[-1]) if low else ((-1,), ())
-        passes.append((shape, vectors, high, v))
+        shape, top = (1 << k,), k
+        columns, vectors, high = [], [], []
+        for t in (i,) if i == j else (i, j):
+            if t < k:
+                vectors.append(tiles[t])
+            elif t < b:
+                columns.append(levels.reshape((2,) + (1,) * (len(shape) + 1)))
+                shape, top = (2, 1 << (t - top)) + shape, t + 1
+            else:
+                high.append(t - b)
+        passes.append(((-1,) + shape, columns + vectors, high, v))
     return passes
 
 
@@ -111,19 +108,17 @@ def energy_table(model: Model, include_offset: bool = True) -> np.ndarray:
     block is 2^B contiguous entries (B = min(n, BLOCK_BITS)), small
     enough to stay in cache while every term of ``model.terms()``, in
     order, makes one in-place pass over it.  Inside a block the entries
-    are rows of a fixed tile of 2^K entries (K <= B, see TILE_BITS):
+    are rows of a fixed tile of 2^K entries (K <= B, see TILE_BITS).
+    Each bit of a term contributes one level factor to the term's
+    coefficient v, placed by the bit's position alone:
 
-    * a term whose bits all lie below K adds its values over the tile
-      (coefficient times the tile vectors ``levels[bits]``) to every
-      row;
-    * a pair with i < K <= j < B adds v * levels[b] times the tile
-      vector of bit i along the bit-j axis, for each bit-j value b;
-    * a term on bits K <= i <= j < B adds a 2- or 2x2-entry block of v
-      times levels along the bit-i (and bit-j) axes;
-    * a term's bits at or above B are fixed by the block's number: v
-      is multiplied by their levels, and the pass is that of the
-      term's bits below B, or adds the one value to the whole block
-      when there are none.
+    * a bit below K multiplies by its tile vector, ``levels[bit]``
+      over the 2^K entries of every row;
+    * a bit in [K, B) multiplies by a 2-entry column of levels along
+      that bit's axis of the block;
+    * a bit at or above B is fixed by the block's number and multiplies
+      by its one level, so a term with no bit below B adds one value to
+      the whole block.
 
     At a bit-0 level of 0 a term adds +-0.0, which leaves the entry
     unchanged, so an entry is never -0.0 (``qaoa._phase_energies``

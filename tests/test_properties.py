@@ -126,6 +126,25 @@ def _reference_table(model):
     return e
 
 
+# bits of each class of the table rule over a full block of B = BLOCK_BITS
+# bits, whose tile width is K = B - 3: below K, in [K, B) and at or above B
+BIT_CLASSES = ((1, BLOCK_BITS - 4), (BLOCK_BITS - 3, BLOCK_BITS - 1), (BLOCK_BITS, BLOCK_BITS + 1))
+
+
+def _every_bit_class(kind, n):
+    """Model with a linear term in each bit class below n and a pair for each two classes."""
+    classes = [c for c in BIT_CLASSES if c[1] < n]
+    linear = [c[0] for c in classes]
+    pairs = [(c[0], d[1]) for a, c in enumerate(classes) for d in classes[a:]]
+    values = [(-1.0) ** k * (0.5 + 0.25 * k) for k in range(len(linear) + len(pairs))]
+    if kind is IsingModel:
+        h = [0.0] * n
+        for i, v in zip(linear, values):
+            h[i] = v
+        return IsingModel(n, tuple(h), dict(zip(pairs, values[len(linear):])), 3.0)
+    return QuboModel(n, dict(zip([(i, i) for i in linear] + pairs, values)), 3.0)
+
+
 # n > TILE_BITS reaches the mixed (i < K <= j) and high-bit (K <= i) passes
 @settings(max_examples=40, deadline=None)
 @given(models(TILE_BITS + 1, 16), st.integers(0, 2**32 - 1))
@@ -143,6 +162,8 @@ def test_tiled_table_matches_scalar_evaluators_on_sampled_indices(model, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(models(TILE_BITS + 1, 16))
+@example(_every_bit_class(IsingModel, 16))
+@example(_every_bit_class(QuboModel, 16))
 def test_tiled_table_matches_untiled_reference(model):
     assert energy_table(model).tobytes() == _reference_table(model).tobytes()
 
@@ -178,6 +199,8 @@ def _without_linear_terms(model):
 # terms on bits at or above the block width
 @settings(max_examples=12, deadline=None)
 @given(multi_block_models())
+@example(_every_bit_class(IsingModel, BLOCK_BITS + 2))
+@example(_every_bit_class(QuboModel, BLOCK_BITS + 2))
 def test_multi_block_table_matches_untiled_reference(model):
     table = energy_table(model)
     assert table.tobytes() == _reference_table(model).tobytes()

@@ -187,27 +187,18 @@ def optimize(model: IsingModel, p: int, max_iters: int = 200, rng=None):
             evaluate(x)
             for _sweep in range(2):
                 for coord in range(2 * p):
-                    span = spans[coord]
-                    step = span / grid_points
-                    grid = [k * step for k in range(grid_points)]
-                    scores = []
-                    for g in grid:
-                        probe = x.copy()
-                        probe[coord] = g
-                        scores.append(evaluate(probe))
-                    k_best = int(np.argmin(scores))
-                    center = grid[k_best]
-
                     def line(t, coord=coord, x=x):
                         probe = x.copy()
                         probe[coord] = t
                         return evaluate(probe)
 
+                    step = spans[coord] / grid_points
+                    grid = [k * step for k in range(grid_points)]
+                    scores = [line(g) for g in grid]
+                    k_best = int(np.argmin(scores))
+                    center = grid[k_best]
                     value, t_best = _golden_refine(line, center - step, center + step, golden_iters)
-                    if value <= scores[k_best]:
-                        x[coord] = t_best
-                    else:
-                        x[coord] = center
+                    x[coord] = t_best if value <= scores[k_best] else center
     except _Budget:
         pass
 

@@ -52,12 +52,24 @@ class VerificationError(RuntimeError):
     pass
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict; a repeated key is an error, not a silent overwrite."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {key!r} in a JSON object")
+            seen.add(key)
+    return obj
+
+
 def _read_json(path: str, digests: dict | None = None) -> dict:
     """Parse a JSON input file, recording the SHA-256 of the bytes parsed."""
     data = Path(path).read_bytes()
     if digests is not None:
         digests[path] = hashlib.sha256(data).hexdigest()
-    return json.loads(data.decode("utf-8"))
+    return json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
 
 
 def _write_outputs(outputs: list, command: str, digests: dict, seed, disclosed=None) -> None:

@@ -416,6 +416,32 @@ def test_non_object_key_file_is_a_one_line_error(tmp_path, capsys, record):
     assert not out.exists()
 
 
+def _scheme1_key(tmp_path):
+    p, e, k = tmp_path / "p.json", tmp_path / "e.json", tmp_path / "k.json"
+    run("gen", "--family", "sk", "--n", 3, "--seed", 1, "--out", p)
+    run("encrypt", "--problem", p, "--scheme", "I", "--seed", 2, "--out", e, "--key-out", k)
+    return k
+
+
+@pytest.mark.parametrize("counts,repeat_tau,repeated", [
+    ('{"000": 0.5, "000": 0.25, "111": 0.25}', False, "000"),
+    ('{"000": 0.5, "111": 0.5}', True, "tau"),
+], ids=["outcome", "key-field"])
+def test_repeated_json_key_is_a_one_line_error(tmp_path, capsys, counts, repeat_tau, repeated):
+    k, d, out = _scheme1_key(tmp_path), tmp_path / "d.json", tmp_path / "out.json"
+    d.write_text(f'{{"n": 3, "counts": {counts}}}')
+    if repeat_tau:
+        tau = json.dumps(read(k)["tau"])
+        k.write_text(k.read_text().replace('"tau": ', f'"tau": {tau}, "tau": ', 1))
+    capsys.readouterr()
+    assert run("decrypt", "--dist", d, "--key", k, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["type"] == "ValueError" and repr(repeated) in payload["error"]
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
+
 def test_encrypt3_huge_d_star_is_a_one_line_error(tmp_path, capsys):
     p, e, k = tmp_path / "p.json", tmp_path / "e.json", tmp_path / "k.json"
     p.write_text(json.dumps({"n": 3, "h": [0.0, 0.0, 0.0], "J": [[0, 1, 1.0], [1, 2, -1.0]],

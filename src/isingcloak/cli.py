@@ -135,33 +135,54 @@ def cmd_gen(args) -> int:
     return 0
 
 
+# each scheme-specific encrypt flag: the schemes that read it, and its value when omitted
+ENCRYPT_FLAGS = {
+    "tau": (("I",), None),
+    "m": (("II",), 1),
+    "kmax_out": (("II",), 1),
+    "kmax_in": (("II",), 1),
+    "bins": (("II", "III"), 10),
+    "roulette": (("II", "III"), "inverse"),
+    "d_star": (("III",), None),
+}
+
+
+def _encrypt_flags(args) -> argparse.Namespace:
+    """The scheme-specific flags, omitted ones at their defaults; a flag of another scheme is an error."""
+    flags = {}
+    for name, (schemes, default) in ENCRYPT_FLAGS.items():
+        value = getattr(args, name)
+        if value is not None and args.scheme not in schemes:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} applies to scheme {' or '.join(schemes)} only")
+        flags[name] = default if value is None else value
+    return argparse.Namespace(**flags)
+
+
 def cmd_encrypt(args) -> int:
-    if args.tau is not None and args.scheme != "I":
-        raise ValueError("--tau applies to scheme I only")
-    if args.d_star is not None and args.scheme != "III":
-        raise ValueError("--d-star applies to scheme III only")
+    flags = _encrypt_flags(args)
     digests = {}
     model = ising_from_dict(_read_json(args.problem, digests))
     rng = as_rng(args.seed)
     if args.scheme == "I":
         key = gen_key1(model.n, rng)
-        if args.tau is not None:
-            key = replace(key, tau=args.tau)
+        if flags.tau is not None:
+            key = replace(key, tau=flags.tau)
         encrypted = encrypt1(model, key)
         key = replace(key, offset=model.offset)
     elif args.scheme == "II":
         encrypted, key = encrypt2(
             model,
-            args.m,
+            flags.m,
             rng,
-            kmax_out=args.kmax_out,
-            kmax_in=args.kmax_in,
-            bins=args.bins,
-            mode=args.roulette,
+            kmax_out=flags.kmax_out,
+            kmax_in=flags.kmax_in,
+            bins=flags.bins,
+            mode=flags.roulette,
         )
     else:
         encrypted, key = encrypt3(
-            model, rng, d_star=args.d_star, bins=args.bins, mode=args.roulette
+            model, rng, d_star=flags.d_star, bins=flags.bins, mode=flags.roulette
         )
     key_payload = key1_to_dict(key) if args.scheme == "I" else key2_to_dict(key)
     # the key is placed first, so --out never holds a problem without its key
@@ -277,13 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="encrypted problem (never contains the key)")
     p.add_argument("--key-out", required=True, dest="key_out")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--m", type=int, default=1, help="decoy count (scheme II)")
-    p.add_argument("--kmax-out", type=int, default=1, dest="kmax_out")
-    p.add_argument("--kmax-in", type=int, default=1, dest="kmax_in")
-    p.add_argument("--bins", type=int, default=10)
-    p.add_argument("--roulette", choices=("preserve", "inverse"), default="inverse")
-    p.add_argument("--d-star", type=int, default=None, dest="d_star", help="target degree (scheme III)")
-    p.add_argument("--tau", type=float, default=None, help="fixed stretch factor >= 1 (scheme I)")
+    # the defaults of these flags are in ENCRYPT_FLAGS, so that a flag given is told from one omitted
+    p.add_argument("--m", type=int, help="decoy count (scheme II, default 1)")
+    p.add_argument("--kmax-out", type=int, dest="kmax_out", help="scheme II, default 1")
+    p.add_argument("--kmax-in", type=int, dest="kmax_in", help="scheme II, default 1")
+    p.add_argument("--bins", type=int, help="schemes II and III, default 10")
+    p.add_argument("--roulette", choices=("preserve", "inverse"),
+                   help="schemes II and III, default inverse")
+    p.add_argument("--d-star", type=int, dest="d_star", help="target degree (scheme III)")
+    p.add_argument("--tau", type=float, help="fixed stretch factor >= 1 (scheme I)")
     p.set_defaults(func=cmd_encrypt)
 
     p = sub.add_parser("solve", help="solve a problem exactly or with the QAOA simulator")

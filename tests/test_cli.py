@@ -477,6 +477,12 @@ def test_stats_needs_problem_and_dist_together(tmp_path, capsys, given):
         (("--scheme", "III", "--tau", 3), "--tau"),
         (("--scheme", "I", "--d-star", 7), "--d-star"),
         (("--scheme", "II", "--d-star", 7), "--d-star"),
+        (("--scheme", "I", "--m", 7), "--m"),
+        (("--scheme", "I", "--kmax-out", 3), "--kmax-out"),
+        (("--scheme", "I", "--bins", 2), "--bins"),
+        (("--scheme", "I", "--roulette", "preserve"), "--roulette"),
+        (("--scheme", "III", "--m", 7), "--m"),
+        (("--scheme", "III", "--kmax-in", 3), "--kmax-in"),
     ],
 )
 def test_encrypt_rejects_options_of_other_schemes(tmp_path, capsys, scheme_args, option):

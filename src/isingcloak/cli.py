@@ -148,7 +148,10 @@ ENCRYPT_FLAGS = {
 
 
 def _encrypt_flags(args) -> argparse.Namespace:
-    """The scheme-specific flags, omitted ones at their defaults; a flag of another scheme is an error."""
+    """The scheme-specific flags of ``args``, omitted ones at their defaults.
+
+    A flag given for a scheme that does not read it is an error.
+    """
     flags = {}
     for name, (schemes, default) in ENCRYPT_FLAGS.items():
         value = getattr(args, name)
@@ -298,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="encrypted problem (never contains the key)")
     p.add_argument("--key-out", required=True, dest="key_out")
     p.add_argument("--seed", type=int, default=None)
-    # the defaults of these flags are in ENCRYPT_FLAGS, so that a flag given is told from one omitted
+    # their defaults are in ENCRYPT_FLAGS, so that a flag given is told from one omitted
     p.add_argument("--m", type=int, help="decoy count (scheme II, default 1)")
     p.add_argument("--kmax-out", type=int, dest="kmax_out", help="scheme II, default 1")
     p.add_argument("--kmax-in", type=int, dest="kmax_in", help="scheme II, default 1")

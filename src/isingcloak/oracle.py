@@ -69,16 +69,16 @@ def _block_passes(model: Model, b: int) -> list:
     """Each term's in-place pass over one block of 2^b table entries.
 
     A pass is ``(shape, vectors, high, v)``, built from the term's bits
-    in ascending order, each of which contributes one level factor.  A
-    bit at or above b is fixed by the block's number: ``high`` lists it
-    minus b, and the pass scales v by its level.  A bit below the tile
-    width k contributes its tile vector over the last axis of
-    ``shape``, which is always one tile of 2^k entries.  A bit t with
-    k <= t < b puts a length-2 axis for itself, and one for the bits
-    between it and the previous such bit, in front of ``shape``, and
-    contributes ``levels`` as a column along that axis.  The block seen
-    as ``shape`` receives v times every vector; the columns come first,
-    since a 2-entry product costs less than a tile's.
+    in ascending order; each bit contributes one level factor, placed by
+    its position alone.  ``shape`` starts as one tile row of 2^k
+    entries, and a bit below k contributes its tile vector along it.  A
+    bit t with k <= t < b puts an axis of length 2 for itself, and one
+    for the bits below it down to the previous such bit (or to k), in
+    front of ``shape``, and contributes a column of ``levels`` along
+    its own axis.  A bit at or above b is fixed by the block's number: ``high``
+    lists it minus b, and the pass scales v by its level.  The columns
+    come ahead of the tile vectors, since a 2-entry product costs less
+    than a tile's.
     """
     k = min(b, max(TILE_BITS, b - 3))
     tiles = _tiles(model.levels, k)

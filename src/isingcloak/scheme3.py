@@ -11,7 +11,7 @@ from four arithmetic conditions on the degree deficiencies.
 
 from __future__ import annotations
 
-import bisect
+import heapq
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -145,28 +145,23 @@ def regular_edge_set(degrees: Sequence[int], d_star: int, m: int) -> Regularizat
             decoy_need[dj] -= 1
             dj = (dj + 1) % m
 
-    # phase 2: Havel-Hakimi over the decoys still short of d*: the first
-    # by (-need, index) links to the next need[u] of them, then leaves.
-    # Every decoy-decoy edge has an endpoint that has left, so two live
-    # decoys are never adjacent.  Pairing one edge at a time between the
-    # top two can wedge itself even on feasible inputs.  ``live`` holds
-    # (need, -index) in ascending order, so u and its partners are its
-    # tail.  The partners, one need lower each, are still in order, so
-    # the two sorted runs are merged by bisecting the shorter into the
-    # longer: no full re-sort per decoy
-    live = sorted((need, -dj) for dj, need in enumerate(decoy_need) if need > 0)
+    # phase 2: Havel-Hakimi over the decoys still short of d*: the one
+    # with the most need (ties to the lowest index) links to the next
+    # need of them in the same order, then leaves.  Every decoy-decoy
+    # edge has an endpoint that has left, so two live decoys are never
+    # adjacent.  Pairing one edge at a time between the top two can
+    # wedge itself even on feasible inputs
+    live = [(-need, n + dj) for dj, need in enumerate(decoy_need) if need > 0]
+    heapq.heapify(live)
     while live:
-        need, u = live.pop()
-        if len(live) < need:
+        need, u = heapq.heappop(live)
+        if len(live) < -need:
             raise RuntimeError("decoy placement stalled with unmet decoy deficiencies")
-        partners = live[-need:]
-        del live[-need:]
-        edges += [(n - max(u, v), n - min(u, v)) for _, v in reversed(partners)]
-        fresh = [(left - 1, v) for left, v in partners if left > 1]
-        if len(fresh) > len(live):
-            live, fresh = fresh, live
-        for item in fresh:
-            bisect.insort(live, item)
+        partners = [heapq.heappop(live) for _ in range(-need)]
+        for left, v in partners:
+            edges.append((min(u, v), max(u, v)))
+            if left < -1:
+                heapq.heappush(live, (left + 1, v))
 
     final = list(degrees) + [0] * m
     for u, v in edges:

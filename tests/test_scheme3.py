@@ -330,7 +330,7 @@ def test_regular_edge_set_rejects_a_count_beyond_list_lengths():
 
 
 def _resorting_edge_set(degrees, d_star, m):
-    """``regular_edge_set`` as it was before phase 2 merged partners back: one full re-sort per decoy."""
+    """``regular_edge_set`` with a phase 2 that re-sorts the live decoys in full once per decoy."""
     degrees, d_star, deficiencies, s, max_e = scheme3._deficiencies(degrees, d_star)
     m = scheme3._integral(m, "m", least=0)
     if m > sys.maxsize:

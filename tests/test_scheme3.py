@@ -378,12 +378,33 @@ def _resorting_edge_set(degrees, d_star, m):
     )
 
 
-# m far above d*, where phase 2 links most of the decoys among themselves
+def _random_placements(count):
+    """Seeded feasible ``(degrees, d_star, m)`` on random graphs of at most 30 nodes.
+
+    d* runs from the maximum degree to 10 above it and m from the
+    minimal count to 40 above it, so both phases place edges.
+    """
+    rng = np.random.default_rng(61)
+    cases = [((0, 0, 0), 0, 0), ((0, 0), 0, 3), ((2, 2, 2), 2, 0)]  # d* = 0 or m = 0
+    while len(cases) < count:
+        n = int(rng.integers(1, 31))
+        adjacency = np.triu(rng.random((n, n)) < rng.random(), 1)
+        degrees = tuple((adjacency.sum(0) + adjacency.sum(1)).tolist())
+        d_star = max(degrees) + int(rng.integers(0, 11))
+        m = minimal_decoy_count(degrees, d_star) + int(rng.integers(0, 41))
+        deficiencies = [d_star - d for d in degrees]
+        if check_conditions(n, m, d_star, sum(deficiencies), max(deficiencies)):
+            cases.append((degrees, d_star, m))
+    return cases
+
+
+# m far above d*, where phase 2 links most of the decoys among themselves,
+# then random graphs
 @pytest.mark.parametrize("degrees, d_star, m", [
     ((1, 2, 1), 2, 1000),
     ((1, 2, 1), 2, 4000),
     ((2, 2, 2, 1, 1), 2, 2501),
     ((3, 1, 1, 1, 2, 2), 5, 1500),
-])
+] + _random_placements(40))
 def test_merged_placement_matches_the_resorting_one_at_large_m(degrees, d_star, m):
     assert regular_edge_set(degrees, d_star, m) == _resorting_edge_set(degrees, d_star, m)

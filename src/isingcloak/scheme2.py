@@ -62,8 +62,7 @@ class RouletteWheel:
             raise ValueError("bin_edges must span a finite range")
         if any(w < 0.0 for w in weights) or sum(weights) <= 0.0:
             raise ValueError("sector weights must be nonnegative with a positive sum")
-        if self.mode not in ("preserve", "inverse"):
-            raise ValueError(f"unknown roulette mode {self.mode!r}")
+        _check_roulette(len(weights), self.mode)
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "sector_weights", weights)
 
@@ -74,6 +73,14 @@ class RouletteWheel:
         cdf = (w / w.sum()).cumsum()
         cdf /= cdf[-1]
         return cdf.tolist()
+
+
+def _check_roulette(bins: int, mode: str) -> None:
+    """Reject a bin count or a mode that no roulette wheel can have."""
+    if bins < 1:
+        raise ValueError("bins must be at least 1")
+    if mode not in ("preserve", "inverse"):
+        raise ValueError(f"unknown roulette mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -162,8 +169,7 @@ def build_roulette(coeffs: Sequence[float], bins: int = 10, mode: str = "inverse
             "cannot build a roulette wheel from an empty coefficient set: decoy weights "
             "are drawn from the problem's coefficients, so it needs a nonzero coefficient"
         )
-    if bins < 1:
-        raise ValueError("bins must be at least 1")
+    _check_roulette(bins, mode)
     mags = np.abs(coeffs)
     lo, hi = float(mags.min()), float(mags.max())
     if hi - lo <= 1e-9 * hi:
@@ -174,7 +180,7 @@ def build_roulette(coeffs: Sequence[float], bins: int = 10, mode: str = "inverse
     p = counts / counts.sum()
     if mode == "inverse":
         weights = np.divide(1.0, p, out=np.zeros_like(p), where=p > 0.0)
-    else:  # RouletteWheel rejects any mode but "preserve"
+    else:  # "preserve"
         weights = p
     return RouletteWheel(tuple(edges), tuple(weights), mode)
 

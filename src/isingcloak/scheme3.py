@@ -21,6 +21,7 @@ from .scheme2 import (
     DecoyPlacement,
     KeyII,
     _augment,
+    _check_roulette,
     _seal,
     attack_complexity2,
     build_roulette,
@@ -211,5 +212,6 @@ def encrypt3(model: IsingModel, rng=None, d_star: int | None = None, bins: int =
     plan = regular_edge_set(graph.degrees, d_star, m)
     q = ising_to_qubo(model)
     wheel = build_roulette(list(q.A.values()), bins=bins, mode=mode) if m else None
+    _check_roulette(bins, mode)  # at m = 0 too, where no wheel is built
     placement = _placement_from_plan(plan, model.n, wheel, rng)
     return _seal(model, _augment(q, m, placement), rng, d_star)

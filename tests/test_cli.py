@@ -366,6 +366,18 @@ def test_encrypt3_all_zero_model_is_a_one_line_error(tmp_path, capsys):
     assert sorted(x.name for x in tmp_path.iterdir()) == ["p.json"]
 
 
+def test_encrypt3_without_decoys_checks_its_roulette_options(tmp_path, capsys):
+    # regular3 is already regular, so scheme III draws no decoy weights
+    p, e, k = tmp_path / "p.json", tmp_path / "e.json", tmp_path / "k.json"
+    run("gen", "--family", "regular3", "--n", 8, "--seed", 1, "--out", p)
+    capsys.readouterr()
+    assert run("encrypt", "--problem", p, "--scheme", "III", "--bins", 0, "--seed", 1,
+               "--out", e, "--key-out", k) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload == {"type": "ValueError", "error": "bins must be at least 1"}
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["p.json", "p.json.manifest.json"]
+
+
 def _encrypt_solve_verify(tmp_path, problem, *encrypt_args):
     p, e, k, d = (tmp_path / x for x in ("p.json", "e.json", "k.json", "d.json"))
     p.write_text(json.dumps(problem))

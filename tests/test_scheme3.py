@@ -235,6 +235,22 @@ class TestEncrypt3:
             encrypt3(flat, np.random.default_rng(0), d_star=1)
 
 
+    @pytest.mark.parametrize("options, message", [
+        ({"bins": 0}, "bins must be at least 1"),
+        ({"bins": -5}, "bins must be at least 1"),
+        ({"mode": "bogus"}, "unknown roulette mode 'bogus'"),
+    ], ids=["bins-0", "bins-negative", "mode-bogus"])
+    def test_roulette_options_checked_without_decoys(self, options, message):
+        model = generate("regular3", 8, np.random.default_rng(1))
+        assert encrypt3(model, np.random.default_rng(2))[1].m == 0
+        with pytest.raises(ValueError, match=message):
+            encrypt3(model, np.random.default_rng(2), **options)
+        with pytest.raises(ValueError, match=message):  # scheme II's message
+            encrypt2(model, 1, np.random.default_rng(2), **options)
+        # an all-zero model needs no decoys, so it still encrypts
+        assert encrypt3(IsingModel(3, (0.0,) * 3, {}), np.random.default_rng(2))[1].m == 0
+
+
 class TestAttackComplexity3:
     def test_delegates_to_scheme2(self):
         for n in range(1, 6):

@@ -135,7 +135,8 @@ def cmd_gen(args) -> int:
     return 0
 
 
-# each scheme-specific encrypt flag: the schemes that read it, and its value when omitted
+# each flag that only some schemes (encrypt) or methods (solve) read:
+# those that read it, and its value when omitted
 ENCRYPT_FLAGS = {
     "tau": (("I",), None),
     "m": (("II",), 1),
@@ -145,25 +146,31 @@ ENCRYPT_FLAGS = {
     "roulette": (("II", "III"), "inverse"),
     "d_star": (("III",), None),
 }
+SOLVE_FLAGS = {
+    "layers": (("qaoa",), 1),
+    "iters": (("qaoa",), 200),
+    "shots": (("qaoa",), 10000),
+}
 
 
-def _encrypt_flags(args) -> argparse.Namespace:
-    """The scheme-specific flags of ``args``, omitted ones at their defaults.
+def _flags(args, table: dict, kind: str, choice: str) -> argparse.Namespace:
+    """The flags of ``table`` in ``args``, omitted ones at their defaults.
 
-    A flag given for a scheme that does not read it is an error.
+    A flag given for a ``choice`` of ``kind`` (a scheme or a method)
+    that does not read it is an error.
     """
     flags = {}
-    for name, (schemes, default) in ENCRYPT_FLAGS.items():
+    for name, (readers, default) in table.items():
         value = getattr(args, name)
-        if value is not None and args.scheme not in schemes:
+        if value is not None and choice not in readers:
             flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} applies to scheme {' or '.join(schemes)} only")
+            raise ValueError(f"{flag} applies to {kind} {' or '.join(readers)} only")
         flags[name] = default if value is None else value
     return argparse.Namespace(**flags)
 
 
 def cmd_encrypt(args) -> int:
-    flags = _encrypt_flags(args)
+    flags = _flags(args, ENCRYPT_FLAGS, "scheme", args.scheme)
     digests = {}
     model = ising_from_dict(_read_json(args.problem, digests))
     rng = as_rng(args.seed)
@@ -194,20 +201,21 @@ def cmd_encrypt(args) -> int:
     return 0
 
 
-def _qaoa_solve(model, args):
-    """Optimize, simulate and sample ``model`` as ``args`` ask: ``(params, trace, dist)``."""
-    rng = as_rng(args.seed)
-    params, trace = optimize(model, args.layers, max_iters=args.iters, rng=rng)
-    return params, trace, sample(simulate(model, params), args.shots, rng)
+def _qaoa_solve(model, flags, seed):
+    """Optimize, simulate and sample ``model`` as ``flags`` ask: ``(params, trace, dist)``."""
+    rng = as_rng(seed)
+    params, trace = optimize(model, flags.layers, max_iters=flags.iters, rng=rng)
+    return params, trace, sample(simulate(model, params), flags.shots, rng)
 
 
 def cmd_solve(args) -> int:
+    flags = _flags(args, SOLVE_FLAGS, "method", args.method)
     digests = {}
     model = ising_from_dict(_read_json(args.problem, digests))
     if args.method == "brute":
         dist = argmin_distribution(brute_force(model))
     else:
-        _, _, dist = _qaoa_solve(model, args)
+        _, _, dist = _qaoa_solve(model, flags, args.seed)
     _write_outputs([(args.out, distribution_to_dict(dist))], "solve", digests, args.seed)
     return 0
 
@@ -261,15 +269,16 @@ def cmd_stats(args) -> int:
 
 
 def cmd_qaoa_sim(args) -> int:
+    flags = _flags(args, SOLVE_FLAGS, "method", "qaoa")
     digests = {}
     model = ising_from_dict(_read_json(args.problem, digests))
-    params, trace, dist = _qaoa_solve(model, args)
+    params, trace, dist = _qaoa_solve(model, flags, args.seed)
     if args.out:
         _write_outputs([(args.out, distribution_to_dict(dist))], "qaoa-sim", digests, args.seed)
     print(
         dumps(
             {
-                "layers": args.layers,
+                "layers": flags.layers,
                 "gammas": list(params.gammas),
                 "betas": list(params.betas),
                 "best_expectation": trace[-1],
@@ -279,6 +288,12 @@ def cmd_qaoa_sim(args) -> int:
         end="",
     )
     return 0
+
+
+def _add_qaoa_flags(p: argparse.ArgumentParser) -> None:
+    # their defaults are in SOLVE_FLAGS, so that a flag given is told from one omitted
+    for name, (_, default) in SOLVE_FLAGS.items():
+        p.add_argument("--" + name, type=int, help=f"QAOA, default {default}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,9 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True)
     p.add_argument("--method", required=True, choices=("brute", "qaoa"))
     p.add_argument("--out", required=True)
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--shots", type=int, default=10000)
+    _add_qaoa_flags(p)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_solve)
 
@@ -343,9 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qaoa-sim", help="optimize and sample the QAOA simulator")
     p.add_argument("--problem", required=True)
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--shots", type=int, default=10000)
+    _add_qaoa_flags(p)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_qaoa_sim)

@@ -152,6 +152,7 @@ def test_qaoa_sim_entry_point_matches_the_subcommand(tmp_path, capsys):
     direct = capsys.readouterr()
     assert main(["qaoa-sim", *argv]) == 0
     assert capsys.readouterr() == direct and direct.out
+    assert json.loads(direct.out)["layers"] == 1  # the default, printed although omitted
 
 
 def test_module_entry_point_prints_help():
@@ -508,6 +509,23 @@ def test_encrypt_rejects_options_of_other_schemes(tmp_path, capsys, scheme_args,
     payload = json.loads(err)
     assert payload["type"] == "ValueError" and payload["error"].startswith(option)
     assert not e.exists() and not k.exists()
+
+
+@pytest.mark.parametrize("option,value", [("--layers", 0), ("--layers", 2), ("--iters", -4),
+                                          ("--shots", 0), ("--shots", 100)])
+def test_brute_solve_rejects_qaoa_options(tmp_path, capsys, option, value):
+    p, d = tmp_path / "p.json", tmp_path / "d.json"
+    run("gen", "--family", "sk", "--n", 4, "--seed", 1, "--out", p)
+    capsys.readouterr()
+    assert run("solve", "--problem", p, "--method", "brute", "--seed", 1, "--out", d,
+               option, value) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload == {"type": "ValueError", "error": f"{option} applies to method qaoa only"}
+    assert not d.exists()
+    # --seed alone is accepted, as the exact solver ignores it
+    assert run("solve", "--problem", p, "--method", "brute", "--seed", 1, "--out", d) == 0
 
 
 def test_stats_on_an_encrypted_space_distribution_names_both_lengths(tmp_path, capsys):

@@ -248,6 +248,8 @@ def cmd_verify(args) -> int:
 def cmd_stats(args) -> int:
     if (args.problem is None) != (args.dist is None):
         raise ValueError("--problem and --dist must be given together")
+    if args.k is not None and args.problem is None:
+        raise ValueError("--k applies with --problem and --dist only")
     key = _load_key(args.key)
     if isinstance(key, KeyI):
         scheme, m = "I", 0
@@ -263,7 +265,7 @@ def cmd_stats(args) -> int:
         gmin = brute_force(model).global_min
         payload["global_min"] = gmin
         payload["ar"] = ar(dist, model, gmin)
-        payload["rar"] = rar(dist, model, gmin, k=args.k)
+        payload["rar"] = rar(dist, model, gmin, k=5 if args.k is None else args.k)
     print(dumps(payload), end="")
     return 0
 
@@ -351,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", required=True)
     p.add_argument("--problem", default=None, help="original problem (with --dist: AR/RAR)")
     p.add_argument("--dist", default=None, help="decoded (primary-space) distribution")
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=int, help="RAR's top-k (with --problem and --dist), default 5")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("qaoa-sim", help="optimize and sample the QAOA simulator")

@@ -528,6 +528,19 @@ def test_brute_solve_rejects_qaoa_options(tmp_path, capsys, option, value):
     assert run("solve", "--problem", p, "--method", "brute", "--seed", 1, "--out", d) == 0
 
 
+@pytest.mark.parametrize("k", [-3, 5])
+def test_stats_k_needs_problem_and_dist(tmp_path, capsys, k):
+    p, e, key = tmp_path / "p.json", tmp_path / "e.json", tmp_path / "k.json"
+    run("gen", "--family", "sk", "--n", 3, "--seed", 1, "--out", p)
+    run("encrypt", "--problem", p, "--scheme", "I", "--seed", 2, "--out", e, "--key-out", key)
+    capsys.readouterr()
+    assert run("stats", "--key", key, "--k", k) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["type"] == "ValueError" and payload["error"].startswith("--k ")
+
+
 def test_stats_on_an_encrypted_space_distribution_names_both_lengths(tmp_path, capsys):
     p, e, k, d = (tmp_path / x for x in ("p.json", "e.json", "k.json", "d.json"))
     run("gen", "--family", "ba2", "--n", 8, "--seed", 3, "--out", p)

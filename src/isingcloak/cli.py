@@ -8,7 +8,9 @@ or III), ``solve`` (exact oracle or the QAOA simulator), ``decrypt``,
 Every command is deterministic given ``--seed``.  Each written file
 gets a ``<file>.manifest.json`` sidecar recording the command, the
 SHA-256 of every input, the seed and the package version, so runs can
-be replayed byte for byte.  Outputs replace old files instead of
+be replayed byte for byte; the sidecar of the encrypted problem, which
+goes to the solver, leaves out the inputs and the seed, since either
+would give the key away.  Outputs replace old files instead of
 truncating them: each is written as a temporary and renamed into
 place, and ``encrypt`` places the key before the encrypted problem.
 Keys are never written into the same file as an encrypted problem.

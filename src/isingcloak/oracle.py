@@ -36,21 +36,26 @@ TILE_BITS = 10
 class SpectrumReport:
     """Exhaustive spectrum of a model.
 
-    ``table`` holds all 2^n energies in enumeration order (index k is
-    the configuration whose variable i is bit i of k); ``energies`` is
-    the same spectrum in ascending order, sorted on first read and
-    cached.  ``argmin_set`` holds the bitstrings attaining the global
-    minimum; ``gap`` the distance from the ground energy to the first
-    strictly higher level (+inf for a flat spectrum).  Levels closer
-    than a degeneracy tolerance are treated as equal, since scaled or
-    converted models reproduce exact ties only up to roundoff.
+    ``argmin_set`` holds the bitstrings attaining the global minimum;
+    ``gap`` the distance from the ground energy to the first strictly
+    higher level (+inf for a flat spectrum).  Levels closer than a
+    degeneracy tolerance are treated as equal, since scaled or converted
+    models reproduce exact ties only up to roundoff.  ``table`` holds all
+    2^n energies of ``model`` in enumeration order (index k is the
+    configuration whose variable i is bit i of k), and ``energies`` the
+    same spectrum in ascending order; each is computed on first read and
+    cached, so a report costs no table until one is read.
     """
 
     n: int
-    table: np.ndarray
+    model: Model
     argmin_set: frozenset
     global_min: float
     gap: float
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        return energy_table(self.model)
 
     @cached_property
     def energies(self) -> np.ndarray:
@@ -99,7 +104,22 @@ def _block_passes(model: Model, b: int) -> list:
     return passes
 
 
-def energy_table(model: Model, include_offset: bool = True) -> np.ndarray:
+def _coefficient_sum(model: Model) -> float:
+    """Sum of the coefficient magnitudes, which bounds |energy - offset|.
+
+    Raises ValueError when that sum plus |offset| passes the float
+    range, where energies could overflow to inf.
+    """
+    try:
+        total = math.fsum(abs(v) for _, _, v in model.terms())
+        if total + abs(model.offset) < math.inf:
+            return total
+    except OverflowError:  # fsum's partial sums passed the float range
+        pass
+    raise ValueError("the model's coefficient magnitudes and offset sum past the float range")
+
+
+def energy_table(model: Model, include_offset: bool = True, consume=None) -> np.ndarray | None:
     """Energies of all 2^n configurations, indexed by bit pattern.
 
     Index k corresponds to the configuration whose variable i is bit i
@@ -107,10 +127,15 @@ def energy_table(model: Model, include_offset: bool = True) -> np.ndarray:
     0).  The table is one preallocated array, filled block by block: a
     block is 2^B contiguous entries (B = min(n, BLOCK_BITS)), small
     enough to stay in cache while every term of ``model.terms()``, in
-    order, makes one in-place pass over it.  Inside a block the entries
-    are rows of a fixed tile of 2^K entries (K <= B, see TILE_BITS).
-    Each bit of a term contributes one level factor to the term's
-    coefficient v, placed by the bit's position alone:
+    order, makes one in-place pass over it.  Given ``consume``, no table
+    is allocated and None is returned: the blocks are filled in turn in
+    one buffer, zeroed before each, and ``consume(block, start)``
+    receives each finished block and the index of its first entry while
+    it is still in cache (the buffer is reused, so ``consume`` copies
+    what it keeps).  Inside a block the entries are rows of a fixed
+    tile of 2^K entries (K <= B, see TILE_BITS).  Each bit of a term
+    contributes one level factor to the term's coefficient v, placed by
+    the bit's position alone:
 
     * a bit below K multiplies by its tile vector, ``levels[bit]``
       over the 2^K entries of every row;
@@ -126,17 +151,25 @@ def energy_table(model: Model, include_offset: bool = True) -> np.ndarray:
     exact products of v and levels, in the same term order, as the
     scalar evaluators, so table entries are bit-identical to
     per-configuration :func:`eval_ising` / :func:`eval_qubo` calls,
-    whatever B and K are.
+    whatever B and K are, and whether or not ``consume`` is given.  A
+    model whose coefficient magnitudes and offset sum past the float
+    range is rejected with ValueError.
     """
     n = model.n
     if n > BRUTE_FORCE_CAP:
         raise ValueError(f"n={n} exceeds the enumeration cap of {BRUTE_FORCE_CAP}")
+    _coefficient_sum(model)
     b = min(n, BLOCK_BITS)
-    e = np.zeros(1 << n)
+    e = np.zeros(1 << (n if consume is None else b))
     blocks = e.reshape(-1, 1 << b)
     passes = _block_passes(model, b)
     levels = model.levels
-    for number, block in enumerate(blocks):
+    for number in range(1 << (n - b)):
+        if consume is None:
+            block = blocks[number]
+        else:
+            block = e
+            block.fill(0.0)  # so that entries start at +0.0, as in a fresh table
         for shape, vectors, high, op in passes:
             for bit in high:
                 op = op * levels[number >> bit & 1]
@@ -146,7 +179,9 @@ def energy_table(model: Model, include_offset: bool = True) -> np.ndarray:
             view += op
         if include_offset:
             block += model.offset
-    return e
+        if consume is not None:
+            consume(block, number << b)
+    return e if consume is None else None
 
 
 def brute_force(model: Model) -> SpectrumReport:
@@ -156,19 +191,43 @@ def brute_force(model: Model) -> SpectrumReport:
     times the sum of coefficient magnitudes of the minimum.  That sum
     bounds |energy - offset|, so the tolerance follows the scale of the
     coefficients and ignores the offset.  The ground set and gap come
-    from reductions over the offset-free table, so a large offset cannot
-    round small energy differences away; the offset is added afterwards,
-    and since rounding is monotone the minimum equals the least entry of
-    the finished table.  Nothing is sorted unless ``.energies`` is read.
+    from reductions over the offset-free energies, so a large offset
+    cannot round small energy differences away; the offset is added to
+    the minimum afterwards, and since rounding is monotone that equals
+    the least entry of the table with the offset.
+
+    No table is kept: each block of :func:`energy_table` is reduced
+    while it is in cache, to the running minimum, the entries within
+    the tolerance of it (the candidates) and the least entry above that
+    window.  The running minimum only falls and ``fl(a + tol)`` is
+    monotone in a, so every entry left out of the candidates lies above
+    the final window too; the candidates the final minimum leaves
+    outside it join the gap's minimum.  The results are those of the
+    same comparisons over the whole table.  ``.table`` and
+    ``.energies`` build a table only when read.
     """
-    table = energy_table(model, include_offset=False)
-    gmin = float(table.min())
-    tol = DEGENERACY_TOL * math.fsum(abs(v) for _, _, v in model.terms())
-    ground = table <= gmin + tol
-    argmin_set = frozenset(indices_to_bitstrings(np.flatnonzero(ground), model.n))
-    gap = float(np.min(table, where=~ground, initial=math.inf)) - gmin
-    table += model.offset
-    return SpectrumReport(model.n, table, argmin_set, gmin + model.offset, gap)
+    tol = DEGENERACY_TOL * _coefficient_sum(model)
+    lowest = above = math.inf
+    candidates = []  # (indices, energies) per block
+
+    def reduce(block, start):
+        nonlocal lowest, above
+        least = float(block.min())
+        if least > lowest + tol:  # nothing in this block can be a ground state
+            above = min(above, least)
+            return
+        lowest = min(lowest, least)
+        inside = block <= lowest + tol
+        where = np.flatnonzero(inside)
+        candidates.append((where + start, block[where]))
+        above = min(above, float(np.min(block, where=~inside, initial=math.inf)))
+
+    energy_table(model, include_offset=False, consume=reduce)
+    indices, energies = (np.concatenate(parts) for parts in zip(*candidates))
+    ground = energies <= lowest + tol
+    argmin_set = frozenset(indices_to_bitstrings(indices[ground], model.n))
+    gap = min(above, float(np.min(energies, where=~ground, initial=math.inf))) - lowest
+    return SpectrumReport(model.n, model, argmin_set, lowest + model.offset, gap)
 
 
 def argmin_distribution(report: SpectrumReport) -> OutcomeDistribution:

@@ -75,12 +75,14 @@ class RouletteWheel:
         return cdf.tolist()
 
 
-def _check_roulette(bins: int, mode: str) -> None:
-    """Reject a bin count or a mode that no roulette wheel can have."""
+def _check_roulette(bins, mode: str) -> int:
+    """``bins`` as an int; rejects a bin count or a mode that no roulette wheel can have."""
+    bins = _integral(bins, "bins")
     if bins < 1:
         raise ValueError("bins must be at least 1")
     if mode not in ("preserve", "inverse"):
         raise ValueError(f"unknown roulette mode {mode!r}")
+    return bins
 
 
 @dataclass(frozen=True)
@@ -169,7 +171,7 @@ def build_roulette(coeffs: Sequence[float], bins: int = 10, mode: str = "inverse
             "cannot build a roulette wheel from an empty coefficient set: decoy weights "
             "are drawn from the problem's coefficients, so it needs a nonzero coefficient"
         )
-    _check_roulette(bins, mode)
+    bins = _check_roulette(bins, mode)
     mags = np.abs(coeffs)
     lo, hi = float(mags.min()), float(mags.max())
     if hi - lo <= 1e-9 * hi:

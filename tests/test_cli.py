@@ -355,6 +355,18 @@ def test_encrypt2_all_zero_model_is_a_one_line_error(tmp_path, capsys):
     assert sorted(x.name for x in tmp_path.iterdir()) == ["p.json"]
 
 
+def test_brute_solve_of_an_overflowing_model_is_a_one_line_error(tmp_path, capsys):
+    # every coefficient is finite, but their magnitudes sum past the float range
+    p, d = tmp_path / "p.json", tmp_path / "d.json"
+    p.write_text(json.dumps({"n": 2, "h": [1e308, 1e308], "J": [[0, 1, 1e308]], "offset": 0.0}))
+    assert run("solve", "--problem", p, "--method", "brute", "--out", d) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["type"] == "ValueError" and "float range" in payload["error"]
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["p.json"]
+
+
 def test_encrypt3_all_zero_model_is_a_one_line_error(tmp_path, capsys):
     p, e, k = tmp_path / "p.json", tmp_path / "e.json", tmp_path / "k.json"
     p.write_text(json.dumps({"n": 3, "h": [0.0, 0.0, 0.0], "J": [], "offset": 1.0}))

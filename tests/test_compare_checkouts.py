@@ -36,6 +36,7 @@ def test_identical_runs_pass_with_every_summary_key():
     assert list(summary) == [
         "pipelines", "pipelines_differing", "pipelines_failed", "pipelines_leaving_tmp",
         "tables", "tables_differing",
+        "spectra", "spectra_differing",
         "encrypts", "encrypts_differing",
         "evaluations", "evaluations_differing",
         "parses", "parses_accepted", "parses_differing", "parses_now_value_error",

@@ -4,6 +4,7 @@ import math
 import os
 import signal
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,18 @@ class TestBruteForce:
         enc = brute_force(encrypt1(m, key)).energies
         ref = key.tau * (brute_force(m).energies - m.offset)
         assert np.max(np.abs(enc - ref)) <= 1e-9 * max(1.0, np.abs(ref).max())
+
+    def test_keeps_no_table(self):
+        model = generate("sk", 20, np.random.default_rng(3))
+        brute_force(model)  # fills the tile vectors' cache, once per process
+        tracemalloc.start()
+        try:
+            rep = brute_force(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (8 << 20) // 4  # a quarter of the 2^20-entry table
+        assert "table" not in vars(rep)
 
     def test_resource_cap(self):
         with pytest.raises(ValueError, match="cap"):

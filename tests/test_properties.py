@@ -81,9 +81,14 @@ def test_table_matches_scalar_evaluators_bitwise(model):
 @settings(max_examples=150, deadline=None)
 @given(models())
 def test_reductions_match_sorted_spectrum(model):
+    _check_reductions(model)
+
+
+def _check_reductions(model):
     table = energy_table(model)
     rep = brute_force(model)
     order = np.sort(table)
+    assert "table" not in vars(rep)  # built on first read
     assert rep.table.tobytes() == table.tobytes()
     assert rep.energies.tobytes() == order.tobytes()
     assert rep.global_min == float(order[0])
@@ -207,6 +212,21 @@ def test_multi_block_table_matches_untiled_reference(model):
     free = energy_table(model, include_offset=False)
     for t in (table, free):
         assert not np.signbit(t[t == 0.0]).any()  # no -0.0, which the QAOA levels rely on
+
+
+# the oracle reduces each block as it is filled, keeping the entries
+# within the tolerance of the running minimum; the examples put the
+# minimum in the last block after an earlier block's candidates (which
+# it prunes), ground states of +-1 couplings in every block, and every
+# entry in the ground set
+@settings(max_examples=8, deadline=None)
+@given(multi_block_models())
+@example(IsingModel(BLOCK_BITS + 1, (1e-10,) + (0.0,) * (BLOCK_BITS - 1) + (-1.0,), {(0, 1): 4.0}))
+@example(IsingModel(BLOCK_BITS + 2, (0.0,) * (BLOCK_BITS + 2),
+                    {(i, i + 1): (-1.0) ** i for i in range(BLOCK_BITS)}, 2.0))
+@example(QuboModel(BLOCK_BITS + 1, {}, -3.0))
+def test_multi_block_reductions_match_sorted_spectrum(model):
+    _check_reductions(model)
 
 
 @settings(max_examples=80, deadline=None)

@@ -72,6 +72,14 @@ class TestBuildRoulette:
         with pytest.raises(ValueError):
             build_roulette([1.0], mode="flat")
 
+    @pytest.mark.parametrize("bins", [True, 2.5, "3", 0])
+    def test_bins_must_be_a_positive_integer(self, bins):
+        with pytest.raises(ValueError, match="bins must be (at least 1|an integer)"):
+            build_roulette([1.0, 2.0, 3.0], bins=bins)
+
+    def test_integral_float_bins_give_the_same_wheel(self):
+        assert build_roulette([1.0, 2.0, 3.0], bins=2.0) == build_roulette([1.0, 2.0, 3.0], bins=2)
+
     @pytest.mark.parametrize(
         "coeffs", [[4e-06, 4.000000000000001e-06], [1e-12], [-3e6, 3e6 * (1 + 1e-15)]]
     )

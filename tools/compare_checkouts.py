@@ -21,6 +21,9 @@ then one list of items per entry of ``SECTIONS``, in its order:
   12 more with 19 <= n <= 22, tables of 8 to 64 blocks; coefficient
   scales 1e-12 to 1e12, offsets up to 1e10), hashing each table's
   bytes;
+* ``spectra``: ``brute_force`` on the models of ``tables``, hashing each
+  sorted argmin set with the global minimum and the gap as
+  ``float.hex``;
 * ``encrypts``: ``encrypt2``/``encrypt3`` called directly on seeded
   random Ising models, with the settings the command-line mixes never
   use (``kmax_out``/``kmax_in`` > 1, ``preserve`` roulette, a
@@ -210,13 +213,29 @@ def _random_models(count: int, seed, min_n: int = 1, max_n: int = 12):
             yield QuboModel(n, {**diagonal, **couplings}, offset)
 
 
-def _table_outputs(seed: int, models: int) -> list:
-    from isingcloak import energy_table
-
+def _table_models(seed: int, models: int):
+    """The models of the ``tables`` section, which ``spectra`` reuses."""
     small = _random_models(models, seed)
     wide = _random_models(WIDE_MODELS, [seed, 1], min_n=11, max_n=18)
     wider = _random_models(WIDER_MODELS, [seed, 18], min_n=19, max_n=22)
-    return [_digest(energy_table(m).tobytes()) for m in itertools.chain(small, wide, wider)]
+    return itertools.chain(small, wide, wider)
+
+
+def _table_outputs(seed: int, models: int) -> list:
+    from isingcloak import energy_table
+
+    return [_digest(energy_table(m).tobytes()) for m in _table_models(seed, models)]
+
+
+def _spectrum_outputs(seed: int, models: int) -> list:
+    from isingcloak import brute_force
+
+    out = []
+    for model in _table_models(seed, models):
+        rep = brute_force(model)
+        record = [sorted(rep.argmin_set), rep.global_min.hex(), rep.gap.hex()]
+        out.append(_digest(json.dumps(record).encode()))
+    return out
 
 
 def _encrypt_outputs(seed: int, models: int) -> list:
@@ -497,9 +516,10 @@ TO_VALUE_ERROR = "to ValueError"  # and no item raises anything else
 # listed), producer, the one change a differing item may make, and the
 # run ("old" or "new") whose accepted items are counted, if any.  A
 # producer takes the seed and the --models count, which only the tables
-# use, and returns the section's list of items.
+# and spectra use, and returns the section's list of items.
 SECTIONS = (
     ("tables", None, _table_outputs, None, None),
+    ("spectra", "spectrum", _spectrum_outputs, None, None),
     ("encrypts", "encrypt", _encrypt_outputs, None, None),
     ("evaluations", "evaluation", _evaluation_outputs, None, None),
     ("parses", "parsed record", _parse_outcomes, FROM_ERROR, "old"),

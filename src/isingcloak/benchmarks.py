@@ -12,8 +12,6 @@ from __future__ import annotations
 from .core import IsingModel
 from .util import as_rng
 
-FAMILIES = ("regular3", "sk", "er", "ba1", "ba2")
-
 ER_EDGE_PROBABILITY = 0.6
 _REGULAR_RETRIES = 1000
 
@@ -41,7 +39,7 @@ def _edges_regular3(n, rng):
     raise RuntimeError(f"no simple 3-regular pairing found in {_REGULAR_RETRIES} attempts")
 
 
-def _edges_sk(n):
+def _edges_sk(n, rng):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
@@ -74,22 +72,23 @@ def _edges_ba(n, attach, rng):
     return sorted(edges)
 
 
+_EDGES = {  # each family's edge builder, called as builder(n, rng)
+    "regular3": _edges_regular3,
+    "sk": _edges_sk,
+    "er": _edges_er,
+    "ba1": lambda n, rng: _edges_ba(n, 1, rng),
+    "ba2": lambda n, rng: _edges_ba(n, 2, rng),
+}
+FAMILIES = tuple(_EDGES)
+
+
 def generate(family: str, n: int, rng=None) -> IsingModel:
     """Draw one instance of the given family at size n."""
     if n < 2:
         raise ValueError("n must be at least 2")
     rng = as_rng(rng)
-    if family == "regular3":
-        edges = _edges_regular3(n, rng)
-    elif family == "sk":
-        edges = _edges_sk(n)
-    elif family == "er":
-        edges = _edges_er(n, rng)
-    elif family == "ba1":
-        edges = _edges_ba(n, 1, rng)
-    elif family == "ba2":
-        edges = _edges_ba(n, 2, rng)
-    else:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r} (expected one of {FAMILIES})")
+    edges = _EDGES[family](n, rng)
     J = {e: float(2 * int(rng.integers(0, 2)) - 1) for e in edges}
     return IsingModel(n, (0.0,) * n, J, 0.0)

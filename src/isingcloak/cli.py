@@ -137,22 +137,31 @@ def cmd_gen(args) -> int:
     return 0
 
 
-# each flag that only some schemes (encrypt) or methods (solve) read:
-# those that read it, and its value when omitted
+# each flag that only some schemes (encrypt) or methods (solve) read: those
+# that read it, its value when omitted, its argparse type (a tuple: its
+# choices) and what an omitted value means where the default (None) does not
 ENCRYPT_FLAGS = {
-    "tau": (("I",), None),
-    "m": (("II",), 1),
-    "kmax_out": (("II",), 1),
-    "kmax_in": (("II",), 1),
-    "bins": (("II", "III"), 10),
-    "roulette": (("II", "III"), "inverse"),
-    "d_star": (("III",), None),
+    "tau": (("I",), None, float, "drawn with the key"),
+    "m": (("II",), 1, int, None),
+    "kmax_out": (("II",), 1, int, None),
+    "kmax_in": (("II",), 1, int, None),
+    "bins": (("II", "III"), 10, int, None),
+    "roulette": (("II", "III"), "inverse", ("preserve", "inverse"), None),
+    "d_star": (("III",), None, int, "the problem graph's maximum degree"),
 }
 SOLVE_FLAGS = {
-    "layers": (("qaoa",), 1),
-    "iters": (("qaoa",), 200),
-    "shots": (("qaoa",), 10000),
+    "layers": (("qaoa",), 1, int, None),
+    "iters": (("qaoa",), 200, int, None),
+    "shots": (("qaoa",), 10000, int, None),
 }
+
+
+def _add_flags(p: argparse.ArgumentParser, table: dict, kind: str) -> None:
+    # no parser default, so that _flags tells a flag given from one omitted
+    for name, (readers, default, value_type, omitted) in table.items():
+        typed = {"choices": value_type} if isinstance(value_type, tuple) else {"type": value_type}
+        p.add_argument("--" + name.replace("_", "-"), dest=name, **typed,
+                       help=f"{kind} {' or '.join(readers)} only, default: {omitted or default}")
 
 
 def _flags(args, table: dict, kind: str, choice: str) -> argparse.Namespace:
@@ -162,7 +171,7 @@ def _flags(args, table: dict, kind: str, choice: str) -> argparse.Namespace:
     that does not read it is an error.
     """
     flags = {}
-    for name, (readers, default) in table.items():
+    for name, (readers, default, _, _) in table.items():
         value = getattr(args, name)
         if value is not None and choice not in readers:
             flag = "--" + name.replace("_", "-")
@@ -294,12 +303,6 @@ def cmd_qaoa_sim(args) -> int:
     return 0
 
 
-def _add_qaoa_flags(p: argparse.ArgumentParser) -> None:
-    # their defaults are in SOLVE_FLAGS, so that a flag given is told from one omitted
-    for name, (_, default) in SOLVE_FLAGS.items():
-        p.add_argument("--" + name, type=int, help=f"QAOA, default {default}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isingcloak",
@@ -320,22 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="encrypted problem (never contains the key)")
     p.add_argument("--key-out", required=True, dest="key_out")
     p.add_argument("--seed", type=int, default=None)
-    # their defaults are in ENCRYPT_FLAGS, so that a flag given is told from one omitted
-    p.add_argument("--m", type=int, help="decoy count (scheme II, default 1)")
-    p.add_argument("--kmax-out", type=int, dest="kmax_out", help="scheme II, default 1")
-    p.add_argument("--kmax-in", type=int, dest="kmax_in", help="scheme II, default 1")
-    p.add_argument("--bins", type=int, help="schemes II and III, default 10")
-    p.add_argument("--roulette", choices=("preserve", "inverse"),
-                   help="schemes II and III, default inverse")
-    p.add_argument("--d-star", type=int, dest="d_star", help="target degree (scheme III)")
-    p.add_argument("--tau", type=float, help="fixed stretch factor >= 1 (scheme I)")
+    _add_flags(p, ENCRYPT_FLAGS, "scheme")
     p.set_defaults(func=cmd_encrypt)
 
     p = sub.add_parser("solve", help="solve a problem exactly or with the QAOA simulator")
     p.add_argument("--problem", required=True)
     p.add_argument("--method", required=True, choices=("brute", "qaoa"))
     p.add_argument("--out", required=True)
-    _add_qaoa_flags(p)
+    _add_flags(p, SOLVE_FLAGS, "method")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_solve)
 
@@ -360,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qaoa-sim", help="optimize and sample the QAOA simulator")
     p.add_argument("--problem", required=True)
-    _add_qaoa_flags(p)
+    _add_flags(p, SOLVE_FLAGS, "method")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_qaoa_sim)

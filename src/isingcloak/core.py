@@ -323,7 +323,8 @@ def problem_graph(model: Model) -> ProblemGraph:
 # QuboModel:  {"n": int, "A": [[i, j, v]], "offset": float}
 # OutcomeDistribution: {"n": int, "counts": {bitstring: weight}}
 # Pair lists are sorted lexicographically; field order is fixed.  The records
-# check their own fields, so the parsers only map JSON fields onto them.
+# check their own fields, so the parsers only map JSON fields onto them and
+# reject a field that they do not read.
 
 
 def ising_to_dict(model: IsingModel) -> dict:
@@ -345,11 +346,20 @@ def _pair_map(entries, what: str) -> dict:
     return pairs
 
 
+def _known_fields(data: Mapping, fields: tuple, record: str) -> None:
+    """Reject a field of the parsed record ``data`` that is not in ``fields``."""
+    for name in data:
+        if name not in fields:
+            raise ValueError(f"malformed {record}: unknown field {name!r}")
+
+
 def ising_from_dict(data: Mapping) -> IsingModel:
     try:
-        return IsingModel(data["n"], data["h"], _pair_map(data["J"], "J"), data["offset"])
+        model = IsingModel(data["n"], data["h"], _pair_map(data["J"], "J"), data["offset"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed Ising model record: {exc}") from exc
+    _known_fields(data, ("n", "h", "J", "offset"), "Ising model record")
+    return model
 
 
 def qubo_to_dict(model: QuboModel) -> dict:
@@ -362,9 +372,11 @@ def qubo_to_dict(model: QuboModel) -> dict:
 
 def qubo_from_dict(data: Mapping) -> QuboModel:
     try:
-        return QuboModel(data["n"], _pair_map(data["A"], "A"), data["offset"])
+        model = QuboModel(data["n"], _pair_map(data["A"], "A"), data["offset"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed QUBO model record: {exc}") from exc
+    _known_fields(data, ("n", "A", "offset"), "QUBO model record")
+    return model
 
 
 def distribution_to_dict(dist: OutcomeDistribution) -> dict:
@@ -373,9 +385,11 @@ def distribution_to_dict(dist: OutcomeDistribution) -> dict:
 
 def distribution_from_dict(data: Mapping) -> OutcomeDistribution:
     try:
-        return OutcomeDistribution(data["n"], data["counts"])
+        dist = OutcomeDistribution(data["n"], data["counts"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed distribution record: {exc}") from exc
+    _known_fields(data, ("n", "counts"), "distribution record")
+    return dist
 
 
 def dumps(payload: dict) -> str:

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import IsingModel, OutcomeDistribution, _integral, _real
+from .core import IsingModel, OutcomeDistribution, _integral, _known_fields, _real
 from .util import as_rng, flip_positions
 
 
@@ -141,6 +141,8 @@ def key1_from_dict(data: Mapping) -> KeyI:
     if key_scheme(data) != "I":
         raise ValueError(f"expected a scheme I key, got {data.get('scheme')!r}")
     try:
-        return KeyI(data["n"], data["targets"], data["tau"], data["offset"])
+        key = KeyI(data["n"], data["targets"], data["tau"], data["offset"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed scheme I key: {exc}") from exc
+    _known_fields(data, ("scheme", "n", "targets", "tau", "offset"), "scheme I key")
+    return key

@@ -29,6 +29,7 @@ from .core import (
     OutcomeDistribution,
     QuboModel,
     _integral,
+    _known_fields,
     _real,
     ising_to_qubo,
     qubo_to_ising,
@@ -388,7 +389,10 @@ def key2_from_dict(data: Mapping) -> KeyII:
         d_star = data["d_star"] if scheme == "III" else None
         if scheme == "III" and d_star is None:
             raise ValueError("d_star of a scheme III key must be an integer, got None")
-        return KeyII(data["n"], data["m"], data["perm"], key1_from_dict(data["key1"]),
-                     data["offset"], d_star)
+        key = KeyII(data["n"], data["m"], data["perm"], key1_from_dict(data["key1"]),
+                    data["offset"], d_star)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed scheme {scheme} key: {exc}") from exc
+    fields = ("scheme", "n", "m", "perm", "key1", "offset") + ("d_star",) * (scheme == "III")
+    _known_fields(data, fields, f"scheme {scheme} key")
+    return key

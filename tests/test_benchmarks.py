@@ -1,9 +1,12 @@
 """Benchmark instance generators."""
 
+import argparse
+
 import numpy as np
 import pytest
 
 from isingcloak import FAMILIES, generate, problem_graph
+from isingcloak.cli import build_parser
 
 
 def connected(graph):
@@ -79,3 +82,10 @@ class TestCoefficients:
             a = generate(family, n, np.random.default_rng(9))
             b = generate(family, n, np.random.default_rng(9))
             assert a == b
+
+
+def test_families_are_the_choices_of_gen():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    family = next(a for a in commands.choices["gen"]._actions if a.dest == "family")
+    assert family.choices == FAMILIES == ("regular3", "sk", "er", "ba1", "ba2")

@@ -1,5 +1,6 @@
 """End-to-end command-line workflows."""
 
+import argparse
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import isingcloak
 from isingcloak.benchmarks import FAMILIES
-from isingcloak.cli import main, qaoa_sim_main
+from isingcloak.cli import ENCRYPT_FLAGS, SOLVE_FLAGS, build_parser, main, qaoa_sim_main
 
 
 def run(*argv):
@@ -579,3 +580,60 @@ def test_encrypted_zeros_carry_no_sign(tmp_path, scheme, extra):
         h = read(e)["h"]
         assert not any(v == 0.0 and math.copysign(1.0, v) < 0 for v in h), (family, h)
         assert "-0.0" not in e.read_text()
+
+
+def subcommands():
+    """Each subcommand's parser in ``build_parser()``, by name."""
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("table,kind,commands", [
+    (ENCRYPT_FLAGS, "scheme", ("encrypt",)),
+    (SOLVE_FLAGS, "method", ("solve", "qaoa-sim")),
+], ids=["encrypt", "solve"])
+def test_flag_tables_declare_the_options(table, kind, commands):
+    parsers = subcommands()
+    for command in commands:
+        options = {a.dest: a for a in parsers[command]._actions}
+        for name, (readers, default, value_type, omitted) in table.items():
+            action = options[name]
+            assert action.option_strings == ["--" + name.replace("_", "-")]
+            # no parser default: an omitted flag is told from one given
+            assert action.default is None
+            if isinstance(value_type, tuple):
+                assert action.choices == value_type and action.type is None
+            else:
+                assert action.type is value_type and action.choices is None
+            assert f"{kind} {' or '.join(readers)} only" in action.help
+            assert str(default if omitted is None else omitted) in action.help
+
+
+@pytest.mark.parametrize("scheme,target,field", [
+    ("I", "problem", "A"),
+    ("I", "dist", "shots"),
+    ("I", "key", "perm"),
+    ("II", "key", "d_star"),
+    ("III", "key", "kmax_in"),
+    ("II", "key1", "perm"),
+])
+def test_records_with_unknown_fields_are_one_line_errors(tmp_path, capsys, scheme, target, field):
+    p, e, k, d, out = (tmp_path / x for x in ("p.json", "e.json", "k.json", "d.json", "out.json"))
+    run("gen", "--family", "sk", "--n", 4, "--seed", 1, "--out", p)
+    run("encrypt", "--problem", p, "--scheme", scheme, "--seed", 2, "--out", e, "--key-out", k)
+    run("solve", "--problem", e, "--method", "brute", "--out", d)
+    path = {"problem": p, "dist": d, "key": k, "key1": k}[target]
+    record = read(path)
+    (record["key1"] if target == "key1" else record)[field] = 3
+    path.write_text(json.dumps(record))
+    capsys.readouterr()
+    decrypt = ("decrypt", "--dist", d, "--key", k, "--out", out)
+    commands = {"problem": [("solve", "--problem", p, "--method", "brute", "--out", out)],
+                "dist": [decrypt]}.get(target, [decrypt, ("stats", "--key", k)])
+    for argv in commands:
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        payload = json.loads(captured.err)
+        assert payload["type"] == "ValueError" and f"unknown field {field!r}" in payload["error"]
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()

@@ -339,6 +339,17 @@ class TestSerialization:
         with pytest.raises(ValueError):
             ising_from_dict({"n": 2, "h": [0.0, 0.0]})
 
+    @pytest.mark.parametrize("parse,record,field", [
+        (ising_from_dict, {"n": 1, "h": [0.5], "J": [], "offset": 0.0}, "A"),
+        (qubo_from_dict, {"n": 1, "A": [[0, 0, 1.0]], "offset": 0.0}, "h"),
+        (distribution_from_dict, {"n": 1, "counts": {"1": 1.0}}, "shots"),
+    ], ids=["ising", "qubo", "distribution"])
+    def test_unknown_field_rejected(self, parse, record, field):
+        # a field that the parser does not read is an error, not dropped
+        parse(record)
+        with pytest.raises(ValueError, match=f"unknown field '{field}'"):
+            parse({**record, field: 1})
+
     def test_duplicate_ising_pair_rejected(self):
         rec = {"n": 2, "h": [0.0, 0.0], "J": [[0, 1, 1.0], [0, 1, -1.0]], "offset": 0.0}
         with pytest.raises(ValueError, match="more than once"):

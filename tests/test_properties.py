@@ -1,5 +1,6 @@
-"""Property tests of the exact oracle and of end-to-end argmin recovery
-over random sizes, scales, offsets and densities."""
+"""Property tests of the exact oracle, of end-to-end argmin recovery over
+random sizes, scales, offsets and densities, and of the QAOA simulator
+against closed forms and the scheme I gauge."""
 
 import json
 import math
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from isingcloak import (
     IsingModel,
+    QaoaParams,
     QuboModel,
     argmin_distribution,
     brute_force,
@@ -24,9 +26,11 @@ from isingcloak import (
     energy_table,
     eval_ising,
     eval_qubo,
+    expectation,
     gen_key1,
     minimal_decoy_count,
     problem_graph,
+    simulate,
 )
 from isingcloak.oracle import BLOCK_BITS, TILE_BITS
 from isingcloak.scheme1 import key1_from_dict, key1_to_dict
@@ -310,3 +314,77 @@ def test_scheme3_recovers_argmin(model, extra_degree, mode, seed):
     encrypted, key = encrypt3(model, np.random.default_rng(seed), d_star=d_star, mode=mode)
     assert key.d_star == (max(degrees) if d_star is None else d_star)
     _assert_recovers(model, encrypted, key, decrypt3, key3_to_dict, key3_from_dict)
+
+
+@st.composite
+def weighted_isings(draw, max_n=10):
+    """Ising model with 2 <= n <= max_n, real fields and couplings in [-2, 2) and an offset."""
+    n = draw(st.integers(2, max_n))
+    density = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    couplings = dict(zip(pairs, _nonzero(rng, len(pairs), 2.0).tolist()))
+    offset = draw(st.floats(-1e3, 1e3, allow_nan=False))
+    return IsingModel(n, tuple(_nonzero(rng, n, 2.0).tolist()), couplings, offset)
+
+
+def _one_layer_expectation(model, gamma, beta):
+    """The energy expectation after one QAOA layer, in closed form.
+
+    Ozaeta, van Dam and McMahon, "Expectation values from the
+    single-layer quantum approximate optimization algorithm on Ising
+    problems" (2022), in the simulator's convention.  With
+    c(x) = cos(2 gamma x) and products over the other qubits w:
+    <Z_u> = sin 2beta sin(2 gamma h_u) prod c(J_uw), and <Z_u Z_v> =
+    sin 4beta sin(2 gamma J_uv) [c(h_u) prod c(J_uw) + c(h_v) prod c(J_vw)] / 2
+    - sin^2 2beta [c(h_u + h_v) prod c(J_uw + J_vw) - c(h_u - h_v) prod c(J_uw - J_vw)] / 2.
+    """
+    n, h = model.n, model.h
+    J = [[0.0] * n for _ in range(n)]
+    for (u, v), value in model.J.items():
+        J[u][v] = J[v][u] = value
+
+    def c(x):
+        return math.cos(2 * gamma * x)
+
+    total = model.offset
+    for u in range(n):
+        others = math.prod(c(J[u][w]) for w in range(n) if w != u)
+        total += h[u] * math.sin(2 * beta) * math.sin(2 * gamma * h[u]) * others
+    for (u, v), coupling in model.J.items():
+        rest = [w for w in range(n) if w not in (u, v)]
+        single = (c(h[u]) * math.prod(c(J[u][w]) for w in rest)
+                  + c(h[v]) * math.prod(c(J[v][w]) for w in rest))
+        pair = (c(h[u] + h[v]) * math.prod(c(J[u][w] + J[v][w]) for w in rest)
+                - c(h[u] - h[v]) * math.prod(c(J[u][w] - J[v][w]) for w in rest))
+        total += coupling * (math.sin(4 * beta) * math.sin(2 * gamma * coupling) * single
+                             - math.sin(2 * beta) ** 2 * pair) / 2
+    return total
+
+
+ANGLES = st.floats(-math.pi, math.pi, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_isings(), ANGLES, ANGLES)
+def test_one_layer_expectation_matches_the_closed_form(model, gamma, beta):
+    # independent of the simulator's energy table and mixer, so it checks
+    # their sign and qubit conventions, not only their bytes
+    scale = 1 + sum(map(abs, model.h)) + sum(map(abs, model.J.values())) + abs(model.offset)
+    closed = _one_layer_expectation(model, gamma, beta)
+    assert abs(expectation(model, QaoaParams((gamma,), (beta,))) - closed) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted_isings(), st.lists(st.tuples(ANGLES, ANGLES), min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_scheme1_is_a_gauge_of_the_simulated_state(model, angles, seed):
+    # the flips commute with the X mixer and the |+> start, and the gammas
+    # divided by tau undo the scale, so only the outcomes' labels change
+    key = gen_key1(model.n, np.random.default_rng(seed))
+    gammas, betas = zip(*angles)
+    plain = np.abs(simulate(model, QaoaParams(gammas, betas))) ** 2
+    ciphered = simulate(encrypt1(model, key), QaoaParams(tuple(g / key.tau for g in gammas), betas))
+    flip = sum(1 << t for t in key.targets)
+    x = np.arange(1 << model.n)
+    assert np.max(np.abs(np.abs(ciphered[x ^ flip]) ** 2 - plain)) <= 1e-12

@@ -223,6 +223,10 @@ class TestStrictKeyParsing:
         with pytest.raises(ValueError, match=match):
             replace(KeyI(2, frozenset({0}), 1.5), **{field: value})
 
+    def test_unknown_field_rejected(self):
+        with pytest.raises(ValueError, match="malformed scheme I key: unknown field 'perm'"):
+            key1_from_dict({**self.REC, "perm": [1, 0]})
+
     def test_integral_floats_accepted(self):
         key = key1_from_dict({**self.REC, "n": 2.0, "targets": [1.0], "tau": 1.0})
         assert key == KeyI(2, frozenset({1}), 1.0)

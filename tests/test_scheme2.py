@@ -403,6 +403,14 @@ class TestStrictKeyParsing:
         with pytest.raises(ValueError, match=match):
             replace(key, **{field: value})
 
+    def test_unknown_fields_rejected(self):
+        rec = self._record()
+        # d_star belongs to scheme III's record; dropped, it would leave a scheme II key
+        with pytest.raises(ValueError, match="malformed scheme II key: unknown field 'd_star'"):
+            key2_from_dict({**rec, "d_star": 3})
+        with pytest.raises(ValueError, match="malformed scheme I key: unknown field 'perm'"):
+            key2_from_dict({**rec, "key1": {**rec["key1"], "perm": rec["perm"]}})
+
     @pytest.mark.parametrize("value", ["0.0", True, float("nan")])
     def test_non_real_offset_rejected(self, value):
         with pytest.raises(ValueError, match="finite real number"):

@@ -287,6 +287,14 @@ class TestKeySerialization:
         assert rec3["scheme"] == "III" and rec2["scheme"] == "II"
         assert key2_from_dict(rec3) == key3 and key3_from_dict(rec2) == key2
 
+    def test_unknown_field_rejected(self):
+        rng = np.random.default_rng(57)
+        _, key = encrypt3(generate("ba1", 5, rng), rng)
+        rec = key3_to_dict(key)
+        with pytest.raises(ValueError, match="malformed scheme III key: unknown field 'kmax_in'"):
+            key3_from_dict({**rec, "kmax_in": 1})
+        assert key3_from_dict({**rec, "d_star": 0}).d_star == 0
+
     def test_non_integral_d_star_rejected(self):
         rng = np.random.default_rng(57)
         _, key = encrypt3(generate("ba1", 5, rng), rng)

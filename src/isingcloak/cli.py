@@ -161,7 +161,7 @@ def _add_flags(p: argparse.ArgumentParser, table: dict, kind: str) -> None:
     for name, (readers, default, value_type, omitted) in table.items():
         typed = {"choices": value_type} if isinstance(value_type, tuple) else {"type": value_type}
         p.add_argument("--" + name.replace("_", "-"), dest=name, **typed,
-                       help=f"{kind} {' or '.join(readers)} only, default: {omitted or default}")
+                       help=f"{kind} {' or '.join(readers)}, default: {omitted or default}")
 
 
 def _flags(args, table: dict, kind: str, choice: str) -> argparse.Namespace:

@@ -347,7 +347,11 @@ def _pair_map(entries, what: str) -> dict:
 
 
 def _known_fields(data: Mapping, fields: tuple, record: str) -> None:
-    """Reject a field of the parsed record ``data`` that is not in ``fields``."""
+    """Reject a field of ``data`` outside ``fields``.
+
+    Parsers call it once ``data`` has parsed, so a record that is not a
+    JSON object keeps its own error.
+    """
     for name in data:
         if name not in fields:
             raise ValueError(f"malformed {record}: unknown field {name!r}")

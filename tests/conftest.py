@@ -1,10 +1,12 @@
 """Shared helpers for the test suite."""
 
+import argparse
 import itertools
 
 import numpy as np
 
 from isingcloak import IsingModel
+from isingcloak.cli import build_parser
 
 
 def random_ising(rng, n=None, density=0.5, with_offset=True):
@@ -40,3 +42,9 @@ def scale_tol(values, rel):
     """Tolerance relative to the magnitude scale of a value collection."""
     arr = np.asarray(values, dtype=np.float64)
     return rel * max(1.0, float(np.abs(arr).max()))
+
+
+def subcommands():
+    """Each subcommand's parser in ``build_parser()``, by name."""
+    actions = build_parser()._actions
+    return next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices

@@ -1,12 +1,10 @@
 """Benchmark instance generators."""
 
-import argparse
-
 import numpy as np
 import pytest
 
+from conftest import subcommands
 from isingcloak import FAMILIES, generate, problem_graph
-from isingcloak.cli import build_parser
 
 
 def connected(graph):
@@ -85,7 +83,5 @@ class TestCoefficients:
 
 
 def test_families_are_the_choices_of_gen():
-    parser = build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    family = next(a for a in commands.choices["gen"]._actions if a.dest == "family")
+    family = next(a for a in subcommands()["gen"]._actions if a.dest == "family")
     assert family.choices == FAMILIES == ("regular3", "sk", "er", "ba1", "ba2")

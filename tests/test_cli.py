@@ -1,6 +1,5 @@
 """End-to-end command-line workflows."""
 
-import argparse
 import json
 import math
 import os
@@ -10,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import subcommands
 import isingcloak
 from isingcloak.benchmarks import FAMILIES
-from isingcloak.cli import ENCRYPT_FLAGS, SOLVE_FLAGS, build_parser, main, qaoa_sim_main
+from isingcloak.cli import ENCRYPT_FLAGS, SOLVE_FLAGS, main, qaoa_sim_main
 
 
 def run(*argv):
@@ -582,12 +582,6 @@ def test_encrypted_zeros_carry_no_sign(tmp_path, scheme, extra):
         assert "-0.0" not in e.read_text()
 
 
-def subcommands():
-    """Each subcommand's parser in ``build_parser()``, by name."""
-    parser = build_parser()
-    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
-
-
 @pytest.mark.parametrize("table,kind,commands", [
     (ENCRYPT_FLAGS, "scheme", ("encrypt",)),
     (SOLVE_FLAGS, "method", ("solve", "qaoa-sim")),
@@ -605,7 +599,7 @@ def test_flag_tables_declare_the_options(table, kind, commands):
                 assert action.choices == value_type and action.type is None
             else:
                 assert action.type is value_type and action.choices is None
-            assert f"{kind} {' or '.join(readers)} only" in action.help
+            assert f"{kind} {' or '.join(readers)}," in action.help
             assert str(default if omitted is None else omitted) in action.help
 
 

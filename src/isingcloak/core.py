@@ -396,6 +396,61 @@ def distribution_from_dict(data: Mapping) -> OutcomeDistribution:
     return dist
 
 
+def _finite_floats(values) -> bool:
+    """Whether every value is a finite ``float``, which json writes as ``repr``."""
+    return set(map(type, values)) <= {float} and math.isfinite(sum(values))
+
+
+def _json_array(items: list, indent: str) -> str:
+    """JSON texts ``items`` as an array indented like ``json.dumps(..., indent=2)``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
+def _dumps_distribution(n, counts) -> str | None:
+    """A ``distribution_to_dict`` record's text, or None unless its values are plain."""
+    if not (type(n) is int and type(counts) is dict and set(map(type, counts)) <= {str}
+            and _finite_floats(counts.values())):
+        return None
+    keys = "".join(counts)  # bitstring keys need no escaping
+    if not keys.isascii() or keys.encode().translate(None, b"01"):
+        return None
+    if not counts:
+        return f'{{\n  "n": {n},\n  "counts": {{}}\n}}\n'
+    lines = [f'    "{bits}": {w!r}' for bits, w in counts.items()]
+    lines[0] = f'{{\n  "n": {n},\n  "counts": {{\n' + lines[0]
+    lines[-1] += "\n  }\n}\n"
+    return ",\n".join(lines)  # one copy of the text, not two
+
+
+def _dumps_ising(n, h, J, offset) -> str | None:
+    """An ``ising_to_dict`` record's text, or None unless its values are plain."""
+    if not (type(n) is int and type(h) is list and type(J) is list
+            and set(map(type, J)) <= {list} and set(map(len, J)) <= {3}):
+        return None
+    i, j, v = zip(*J) if J else ((), (), ())
+    if not (set(map(type, i + j)) <= {int} and _finite_floats([*h, *v, offset])):
+        return None
+    pairs = [f"[\n      {a},\n      {b},\n      {w!r}\n    ]" for a, b, w in J]
+    return (f'{{\n  "n": {n},\n  "h": {_json_array(list(map(repr, h)), "  ")},\n'
+            f'  "J": {_json_array(pairs, "  ")},\n  "offset": {offset!r}\n}}\n')
+
+
+# the bulk layouts that dumps formats itself, by their field names
+_DIRECT = {("n", "counts"): _dumps_distribution, ("n", "h", "J", "offset"): _dumps_ising}
+
+
 def dumps(payload: dict) -> str:
-    """Canonical JSON encoding: fixed field order, two-space indent."""
-    return json.dumps(payload, indent=2) + "\n"
+    """Canonical JSON encoding: fixed field order, two-space indent.
+
+    The text is always ``json.dumps(payload, indent=2)`` plus a newline.
+    The two bulk layouts, distribution and Ising records, are formatted
+    here directly when their values have the plain types that
+    ``*_to_dict`` gives them, since json's indented encoder is pure
+    Python; every other payload goes to json.
+    """
+    write = _DIRECT.get(tuple(payload)) if type(payload) is dict else None
+    text = write(*payload.values()) if write else None
+    return text if text is not None else json.dumps(payload, indent=2) + "\n"

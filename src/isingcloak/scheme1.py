@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import IsingModel, OutcomeDistribution, _integral, _known_fields, _real
-from .util import as_rng, flip_positions
+from .util import as_rng, chars_to_bitstrings
 
 
 @dataclass(frozen=True)
@@ -96,16 +96,19 @@ def flip_spins(z: Sequence[int], targets: frozenset) -> list:
 def decrypt1(dist: OutcomeDistribution, key: KeyI) -> OutcomeDistribution:
     """Undo the measurement-side effect of the spin flips.
 
-    Toggles the bits at the target positions of every outcome; weights
-    are untouched, so the map is a weight-preserving bijection and an
+    Toggles the bits at the target positions of every outcome, in one
+    XOR of the outcomes' characters with a 0/1 mask; weights are
+    untouched, so the map is a weight-preserving bijection and an
     involution.
     """
     if dist.n != key.n:
         raise ValueError(f"distribution has n={dist.n}, key expects n={key.n}")
-    return OutcomeDistribution(
-        dist.n,
-        {flip_positions(b, key.targets): w for b, w in dist.weights.items()},
-    )
+    mask = np.zeros(key.n, dtype=np.uint8)
+    mask[list(key.targets)] = 1  # '0' ^ 1 == '1' and '1' ^ 1 == '0'
+    chars = np.frombuffer("".join(dist.weights).encode("ascii"), dtype=np.uint8)
+    chars = chars.reshape(-1, key.n) ^ mask  # frees the joined text before slicing
+    flipped = chars_to_bitstrings(chars)
+    return OutcomeDistribution(dist.n, dict(zip(flipped, dist.weights.values())))
 
 
 def recover_energy1(value: float, key: KeyI, original_offset: float) -> float:

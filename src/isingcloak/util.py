@@ -27,9 +27,14 @@ def indices_to_bitstrings(indices: Sequence[int], n: int) -> list:
     Indices must fit in int64.
     """
     k = np.asarray(indices, dtype=np.int64).reshape(-1, 1)
-    chars = ((k >> np.arange(n)) & 1).astype(np.uint8) + ord("0")
+    return chars_to_bitstrings(((k >> np.arange(n)) & 1).astype(np.uint8) + ord("0"))
+
+
+def chars_to_bitstrings(chars: np.ndarray) -> list:
+    """The rows of an (N, n) uint8 matrix of ASCII ``'0'``/``'1'`` as bitstrings."""
+    n = chars.shape[1]
     text = chars.tobytes().decode("ascii")
-    return [text[r * n : (r + 1) * n] for r in range(len(k))]
+    return [text[start : start + n] for start in range(0, len(text), n)]
 
 
 def index_to_bitstring(index: int, n: int) -> str:

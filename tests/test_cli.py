@@ -48,6 +48,31 @@ def test_full_workflow(tmp_path, scheme, extra):
     assert (tmp_path / "enc.json.manifest.json").exists()
 
 
+@pytest.mark.parametrize("scheme,extra", [("I", []), ("II", ["--m", "2"]), ("III", [])])
+def test_every_output_is_what_json_writes(tmp_path, capsys, scheme, extra):
+    # the directory name puts non-ASCII input paths in the manifests
+    base = tmp_path / "\u00e9t\u00e9 \u4e2d"
+    base.mkdir()
+    p, e, k, b, d, dec = (base / x for x in ("p.json", "e.json", "k.json", "b.json", "d.json",
+                                              "dec.json"))
+    run("gen", "--family", "ba2", "--n", 6, "--seed", 3, "--out", p)
+    run("encrypt", "--problem", p, "--scheme", scheme, "--seed", 4, "--out", e, "--key-out", k,
+        *extra)
+    run("solve", "--problem", e, "--method", "brute", "--out", b)
+    run("solve", "--problem", e, "--method", "qaoa", "--iters", 20, "--shots", 500, "--seed", 5,
+        "--out", d)
+    run("decrypt", "--dist", d, "--key", k, "--out", dec)
+    capsys.readouterr()
+    assert run("verify", "--problem", p, "--key", k, "--dist", b) == 0
+    assert run("stats", "--key", k, "--problem", p, "--dist", dec) == 0
+    assert run("qaoa-sim", "--problem", p, "--iters", 5, "--shots", 10, "--seed", 1) == 0
+    printed = capsys.readouterr().out.replace("}\n{", "}\n\0{").split("\0")
+    written = [path.read_text(encoding="utf-8") for path in sorted(base.iterdir())]
+    assert len(written) == 12 and len(printed) == 3
+    for text in written + printed:
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 def test_twenty_seeded_runs_per_family(tmp_path):
     for family in ("regular3", "sk", "er", "ba1", "ba2"):
         for seed in range(20):

@@ -1,7 +1,9 @@
 """The comparison rules of tools/compare_checkouts.py, on small synthetic runs."""
 
 import importlib.util
+import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -176,3 +178,70 @@ def test_pipeline_records_do_not_depend_on_the_work_directory(tmp_path, monkeypa
     failed = {k: {**record, "ok": False} for k, record in runs[0].items()}
     lines = [tool.compare(_run(run), _run(failed), CHECKOUTS)[0] for run in runs]
     assert lines[0] == lines[1] and len(lines[0]) == 4
+
+
+def _git(repo, *args):
+    done = subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                           *args], check=True, capture_output=True, text=True)
+    return done.stdout
+
+
+def _worktrees(repo):
+    return _git(repo, "worktree", "list", "--porcelain").count("worktree ")
+
+
+@pytest.fixture
+def repo(tmp_path):
+    """A throwaway repository: f.txt reads "one" at HEAD and "two" in the working tree."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "--quiet")
+    (repo / "f.txt").write_text("one\n")
+    _git(repo, "add", "f.txt")
+    _git(repo, "commit", "--quiet", "-m", "one")
+    (repo / "f.txt").write_text("two\n")
+    return repo
+
+
+def test_base_worktree_checks_out_the_ref_and_removes_it(repo, tmp_path):
+    with tool.base_worktree(repo, "HEAD", tmp_path) as path:
+        assert (path / "f.txt").read_text() == "one\n" and _worktrees(repo) == 2
+    assert not path.exists() and _worktrees(repo) == 1
+
+
+def test_base_worktree_is_removed_when_the_run_fails(repo, tmp_path):
+    with pytest.raises(RuntimeError), tool.base_worktree(repo, "HEAD", tmp_path) as path:
+        raise RuntimeError
+    assert not path.exists() and _worktrees(repo) == 1
+
+
+def test_base_takes_the_place_of_the_old_checkout(repo, monkeypatch, capsys):
+    # the child runs are stubbed: only the checkouts they are given are checked
+    real, seen = subprocess.run, []
+
+    def run(argv, **kwargs):
+        if argv[0] != sys.executable:
+            return real(argv, **kwargs)
+        seen.append((Path(argv[2]), (Path(argv[2]) / "f.txt").read_text()))
+        return subprocess.CompletedProcess(argv, 0, json.dumps(_run()), "")
+
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    assert tool.main(["--base", "HEAD", str(repo)]) == 0
+    assert [text for _, text in seen] == ["one\n", "two\n"]
+    assert not seen[0][0].exists() and _worktrees(repo) == 1
+    assert capsys.readouterr().out.count("\n") == 1  # the summary alone
+
+
+def test_an_unknown_base_is_one_line_and_exit_status_1(repo, capsys):
+    assert tool.main(["--base", "no-such-ref", str(repo)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("--base no-such-ref: ") and out.count("\n") == 1
+    assert _worktrees(repo) == 1
+
+
+@pytest.mark.parametrize("argv", [["NEW"], ["OLD", "NEW", "--base", "HEAD"]])
+def test_base_and_an_old_checkout_exclude_each_other(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        tool.main(argv)
+    assert info.value.code == 2
+    assert "give either an old checkout or --base REF" in capsys.readouterr().err

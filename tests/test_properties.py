@@ -1,6 +1,7 @@
 """Property tests of the exact oracle, of end-to-end argmin recovery over
-random sizes, scales, offsets and densities, and of the QAOA simulator
-against closed forms and the scheme I gauge."""
+random sizes, scales, offsets and densities, of the QAOA simulator
+against closed forms and the scheme I gauge, and of the JSON writer and
+scheme I's flip against their references."""
 
 import json
 import math
@@ -13,9 +14,12 @@ from hypothesis import strategies as st
 
 from isingcloak import (
     IsingModel,
+    KeyI,
+    OutcomeDistribution,
     QaoaParams,
     QuboModel,
     argmin_distribution,
+    attack_complexity2,
     brute_force,
     decrypt1,
     decrypt2,
@@ -32,10 +36,13 @@ from isingcloak import (
     problem_graph,
     simulate,
 )
+from isingcloak import __version__, core
+from isingcloak.core import distribution_to_dict, dumps, ising_to_dict
 from isingcloak.oracle import BLOCK_BITS, TILE_BITS
 from isingcloak.scheme1 import key1_from_dict, key1_to_dict
 from isingcloak.scheme2 import key2_from_dict, key2_to_dict
 from isingcloak.scheme3 import key3_from_dict, key3_to_dict
+from isingcloak.util import flip_positions
 
 
 def _nonzero(rng, size, scale):
@@ -388,3 +395,136 @@ def test_scheme1_is_a_gauge_of_the_simulated_state(model, angles, seed):
     flip = sum(1 << t for t in key.targets)
     x = np.arange(1 << model.n)
     assert np.max(np.abs(np.abs(ciphered[x ^ flip]) ** 2 - plain)) <= 1e-12
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# finite reals as records hold them: zeros of both signs, the smallest
+# subnormal and magnitudes from 1e-300 to 1e300
+MAGNITUDES = st.sampled_from((5e-324, 1e-300, 0.1, 1.0, 1e300)) | st.floats(1e-300, 1e300)
+NONZERO = st.tuples(MAGNITUDES, st.booleans()).map(lambda m: -m[0] if m[1] else m[0])
+REALS = NONZERO | st.sampled_from((0.0, -0.0))
+WEIGHTS = MAGNITUDES | st.sampled_from((0.0, -0.0))
+
+
+@st.composite
+def ising_records(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    couplings = {pair: draw(NONZERO) for pair in chosen}
+    h = draw(st.lists(REALS, min_size=n, max_size=n))
+    return ising_to_dict(IsingModel(n, tuple(h), couplings, draw(REALS)))
+
+
+@st.composite
+def distribution_records(draw):
+    n = draw(st.integers(1, 40))
+    bits = draw(st.lists(st.text("01", min_size=n, max_size=n), unique=True, max_size=30))
+    weights = draw(st.lists(WEIGHTS, min_size=len(bits), max_size=len(bits)))
+    return distribution_to_dict(OutcomeDistribution(n, dict(zip(bits, weights))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ising_records() | distribution_records())
+@example({"n": 1, "h": [-0.0], "J": [], "offset": 5e-324})
+@example({"n": 3, "counts": {}})
+@example({"n": 2, "counts": {"00": 0.0, "01": -0.0, "11": 1e300}})
+def test_dumps_formats_the_bulk_records_itself_as_json_does(record):
+    assert dumps(record) == _json(record)
+    assert core._DIRECT[tuple(record)](*record.values()) == _json(record)  # not through json
+
+
+class _Real(float):
+    def __repr__(self):
+        return "real"
+
+
+class _Bits(str):
+    def __format__(self, spec):
+        return "bits"
+
+
+@pytest.mark.parametrize("payload", [
+    {"n": True, "counts": {}},
+    {"n": 1.0, "counts": {"1": 1.0}},
+    {"n": 2, "counts": {'0"': 1.0}},
+    {"n": 1, "counts": {"\u00e9": 1.0}},
+    {"n": 1, "counts": {"\n": 1.0}},
+    {"n": 1, "counts": {1: 1.0}},
+    {"n": 1, "counts": {_Bits("1"): 1.0}},
+    {"n": 1, "counts": {"1": 1}},
+    {"n": 1, "counts": {"1": True}},
+    {"n": 1, "counts": {"1": math.nan}},
+    {"n": 1, "counts": {"1": _Real(0.5)}},
+    {"n": 2, "counts": {"00": 1e308, "11": 1e308}},  # finite, with an overflowing sum
+    {"n": 1, "counts": [["1", 1.0]]},
+    {"counts": {"1": 1.0}, "n": 1},
+    {"n": 2, "h": (0.0, 1.0), "J": [], "offset": 0.0},
+    {"n": 2, "h": [0.0, 1.0], "J": [(0, 1, 1.0)], "offset": 0.0},
+    {"n": 2, "h": [0.0, 1.0], "J": [[0, True, 1.0]], "offset": 0.0},
+    {"n": 2, "h": [0.0, 1.0], "J": [[0, 1, 1]], "offset": 0.0},
+    {"n": 2, "h": [0.0, 1.0], "J": [[0, 1, 1.0, 2.0]], "offset": 0.0},
+    {"n": 2, "h": [0.0, 1.0], "J": [{"i": 0, "j": 1, "v": 1.0}], "offset": 0.0},
+    {"n": 2, "h": [0.0, -math.inf], "J": [], "offset": 0.0},
+    {"n": 2, "h": [0.0, 1.0], "J": [], "offset": 1},
+    {"n": 2, "h": [_Real(1.0), 1.0], "J": [], "offset": 0.0},
+])
+def test_dumps_leaves_other_values_of_the_record_layouts_to_json(payload):
+    assert dumps(payload) == _json(payload)
+
+
+@settings(max_examples=60, deadline=None)
+@given(client_models(), st.sampled_from(("I", "II", "III")), st.integers(0, 2**32 - 1),
+       st.text(), st.none() | st.integers(0, 2**63), REALS, st.lists(REALS, max_size=3))
+def test_dumps_writes_keys_manifests_and_reports_as_json_does(model, scheme, seed, path,
+                                                              replay, value, angles):
+    rng = np.random.default_rng(seed)
+    assume(scheme == "I" or any(model.h) or model.J)
+    if scheme == "I":
+        key = key1_to_dict(replace(gen_key1(model.n, rng), offset=model.offset))
+    elif scheme == "II":
+        key = key2_to_dict(encrypt2(model, 2, rng)[1])
+    else:
+        key = key3_to_dict(encrypt3(model, rng)[1])
+    report = brute_force(model)
+    payloads = [
+        key,
+        {"command": "encrypt", "inputs": {path: "0" * 64}, "seed": replay, "version": __version__},
+        {"verified": True, "argmin": sorted(report.argmin_set)},
+        {"scheme": scheme, "n": model.n, "m": 2, "attack_complexity_log2":
+         attack_complexity2(model.n, 2), "global_min": report.global_min, "ar": value,
+         "rar": -value},
+        {"layers": len(angles), "gammas": angles, "betas": angles[::-1],
+         "best_expectation": value, "evaluations": seed},
+    ]
+    for payload in payloads:
+        assert dumps(payload) == _json(payload)
+
+
+@st.composite
+def flip_cases(draw):
+    """A distribution of up to 20 outcomes on 1 <= n <= 300 bits and a scheme I key."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    targets = draw(st.sampled_from(("none", "all", "some")))
+    mask = {"none": np.zeros(n, bool), "all": np.ones(n, bool), "some": rng.random(n) < 0.5}
+    rows = rng.integers(0, 2, (draw(st.integers(0, 20)), n))
+    bits = {"".join(map(str, row)) for row in rows.tolist()}
+    weights = rng.integers(0, 3, len(bits)) / 2.0
+    key = KeyI(n, frozenset(np.flatnonzero(mask[targets]).tolist()), 1.0)
+    return OutcomeDistribution(n, dict(zip(sorted(bits), weights.tolist()))), key
+
+
+@settings(max_examples=150, deadline=None)
+@given(flip_cases())
+@example((OutcomeDistribution(1, {}), KeyI(1, frozenset(), 1.0)))
+@example((OutcomeDistribution(1, {"0": 0.5, "1": 0.0}), KeyI(1, frozenset({0}), 1.0)))
+@example((OutcomeDistribution(300, {}), KeyI(300, frozenset(range(300)), 1.0)))
+def test_decrypt1_flips_as_the_per_outcome_reference(case):
+    dist, key = case
+    reference = {flip_positions(b, key.targets): w for b, w in dist.weights.items()}
+    decoded = decrypt1(dist, key)
+    assert list(decoded.weights.items()) == sorted(reference.items())

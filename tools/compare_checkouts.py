@@ -3,6 +3,12 @@
 Usage, from anywhere:
 
     python3 tools/compare_checkouts.py OLD_CHECKOUT NEW_CHECKOUT [--seed 1]
+    python3 tools/compare_checkouts.py --base REF NEW_CHECKOUT [--seed 1]
+
+``--base REF`` stands in for the old checkout: the commit REF of the new
+checkout's git repository is checked out into a detached ``git
+worktree`` in the script's temporary directory, and that worktree is
+removed when the comparison ends, also when it fails.
 
 Each checkout runs in its own interpreter, importing the package from
 its ``src/``.  Both runs use the same work directory, because the
@@ -611,10 +617,47 @@ def compare(old: dict, new: dict, checkouts) -> tuple[list, dict]:
     return lines, summary
 
 
+def _compare_checkouts(checkouts, labels, workdir: Path, args) -> int:
+    """Run both checkouts in ``workdir``; print the problems and the summary; the exit status."""
+    runs = []
+    for checkout, label in zip(checkouts, labels):
+        proc = subprocess.run(
+            [sys.executable, __file__, str(checkout), str(checkout), "--child",
+             "--workdir", str(workdir), "--seed", str(args.seed), "--models", str(args.models)],
+            capture_output=True, text=True,
+        )
+        if proc.returncode:
+            lines = proc.stderr.strip().splitlines() or [f"exit status {proc.returncode}"]
+            print(f"{label}: {lines[-1]}")
+            return 1
+        runs.append(json.loads(proc.stdout))
+    lines, summary = compare(*runs, labels)
+    for line in lines:
+        print(line)
+    print(json.dumps(summary))
+    return 1 if any(v for k, v in summary.items() if k.endswith(PROBLEMS)) else 0
+
+
+@contextlib.contextmanager
+def base_worktree(repo: Path, ref: str, tmp: Path):
+    """A detached ``git worktree`` of ``repo`` at ``ref`` under ``tmp``, removed on exit."""
+    path = tmp / "base"
+    git = ["git", "-C", str(repo), "worktree"]
+    subprocess.run([*git, "add", "--detach", "--quiet", str(path), ref],
+                   check=True, capture_output=True, text=True)
+    try:
+        yield path
+    finally:
+        subprocess.run([*git, "remove", "--force", str(path)],
+                       check=True, capture_output=True, text=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("old", type=Path)
+    parser.add_argument("old", type=Path, nargs="?", help="the old checkout, unless --base")
     parser.add_argument("new", type=Path)
+    parser.add_argument("--base", metavar="REF",
+                        help="compare the commit REF of NEW's repository, checked out for the run")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--models", type=int, default=2000)
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
@@ -623,26 +666,20 @@ def main(argv=None) -> int:
     if args.child:
         child(args.old.resolve(), args.workdir, args.seed, args.models)
         return 0
+    if (args.base is None) == (args.old is None):
+        parser.error("give either an old checkout or --base REF")
 
-    runs = []
     with tempfile.TemporaryDirectory() as tmp:
-        for checkout in (args.old, args.new):
-            proc = subprocess.run(
-                [sys.executable, __file__, str(checkout), str(checkout), "--child",
-                 "--workdir", str(Path(tmp) / "work"), "--seed", str(args.seed),
-                 "--models", str(args.models)],
-                capture_output=True, text=True,
-            )
-            if proc.returncode:
-                lines = proc.stderr.strip().splitlines() or [f"exit status {proc.returncode}"]
-                print(f"{checkout}: {lines[-1]}")
-                return 1
-            runs.append(json.loads(proc.stdout))
-    lines, summary = compare(*runs, (args.old, args.new))
-    for line in lines:
-        print(line)
-    print(json.dumps(summary))
-    return 1 if any(v for k, v in summary.items() if k.endswith(PROBLEMS)) else 0
+        worktree = (contextlib.nullcontext(args.old) if args.base is None
+                    else base_worktree(args.new, args.base, Path(tmp)))
+        try:
+            with worktree as old:
+                labels = (old if args.base is None else f"--base {args.base}", args.new)
+                return _compare_checkouts((old, args.new), labels, Path(tmp) / "work", args)
+        except subprocess.CalledProcessError as exc:  # git's own error, as one line
+            lines = exc.stderr.strip().splitlines() or [f"exit status {exc.returncode}"]
+            print(f"--base {args.base}: {lines[-1]}")
+            return 1
 
 
 if __name__ == "__main__":
